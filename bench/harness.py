@@ -1,14 +1,18 @@
 """Request accounting and span tracing for the benchmark.
 
-A ``Recorder`` times every request of a pass (tracing on or off), turns any
-exception or failed check inside a request into a counted failure, and, when
-tracing is on, keeps one span per request and one per library call made from
-the benchmark's own files.  Spans stay in memory until the run ends.
+A ``Recorder`` times every request of a pass (tracing on or off) and turns any
+exception or failed check inside a request into a counted failure.  When
+tracing is on, it keeps one span per request and, through ``instrument``, one
+span per call of a public module-level function of the package, so spans nest
+the way the calls do and each layer's self time is its own.  Spans stay in
+memory until the run ends.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import inspect
 import statistics
 import sys
 import time
@@ -20,14 +24,21 @@ class CheckFailed(Exception):
     """A request's output did not meet its correctness check."""
 
 
+def require(condition, message: str) -> None:
+    """Fail the current request unless ``condition`` holds."""
+    if not condition:
+        raise CheckFailed(message)
+
+
 @dataclass
 class Span:
     id: int
     parent: int | None
     name: str
-    n: int | None
     pass_index: int
-    request: str
+    request: str       # id shared by every span of one request
+    kind: str          # the request's kind and size,
+    n: int | None      # which key the per-call summary
     start: float
     end: float = 0.0
 
@@ -50,15 +61,6 @@ class RequestRecord:
     error: str | None = None
 
 
-class Request:
-    """Handle given to the body of a ``with recorder.request(...)`` block."""
-
-    @staticmethod
-    def require(condition, message: str) -> None:
-        if not condition:
-            raise CheckFailed(message)
-
-
 @dataclass
 class Recorder:
     run_id: str
@@ -76,11 +78,11 @@ class Recorder:
         pass goes on with the next request."""
         self._request_seq += 1
         request_id = f"{self.run_id}/p{self.pass_index}/r{self._request_seq}"
-        span = self._open(f"bench.{kind}", n, request_id)
+        span = self._open(f"bench.{kind}", request_id, kind, n) if self.tracing else None
         start = time.perf_counter()
         error = None
         try:
-            yield Request()
+            yield
         except Exception as exc:  # the run must continue after any failure
             error = f"{kind} n={n}: {type(exc).__name__}: {exc}"
             if not isinstance(exc, CheckFailed):
@@ -88,44 +90,60 @@ class Recorder:
             print(f"FAILED {error}", file=sys.stderr)
         finally:
             seconds = time.perf_counter() - start
-            self._close(span)
+            if span is not None:
+                self._close(span)
             self.requests.append(RequestRecord(kind, n, self.tracing, seconds, error is None, error))
 
-    def span(self, name: str, n: int | None = None):
-        """Span around one library call; free when tracing is off."""
-        if not self.tracing:
-            return contextlib.nullcontext()
-        return self._span(name, n)
-
     @contextlib.contextmanager
-    def _span(self, name, n):
-        span = self._open(name, n, self._stack[-1].request if self._stack else self.run_id)
+    def instrument(self, modules, count):
+        """While open, every public module-level function defined in one of
+        ``modules`` runs inside a span named ``<module>.<function>``.  The
+        functions are replaced in every module's namespace, so calls between
+        the modules are traced too.  ``count(rec, name, fn, args, kwargs,
+        result)`` is called after each traced call."""
+        package = {m.__name__ for m in modules}
+        patched = []
+        for module in modules:
+            for attr, fn in list(vars(module).items()):
+                if (inspect.isfunction(fn) and not fn.__name__.startswith("_")
+                        and fn.__module__ in package):
+                    name = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+                    patched.append((module, attr, fn))
+                    setattr(module, attr, self._traced(name, fn, count))
         try:
             yield
         finally:
-            self._close(span)
+            for module, attr, fn in patched:
+                setattr(module, attr, fn)
 
-    def _open(self, name, n, request_id) -> Span | None:
-        if not self.tracing:
-            return None
+    def _traced(self, name, fn, count):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            outer = self._stack[-1]  # the request, or the call, this one serves
+            span = self._open(name, outer.request, outer.kind, outer.n)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                self._close(span)
+            count(self, name, fn, args, kwargs, result)
+            return result
+        return call
+
+    def _open(self, name, request_id, kind, n) -> Span:
         span = Span(len(self.spans), self._stack[-1].id if self._stack else None,
-                    name, n, self.pass_index, request_id, time.perf_counter())
+                    name, self.pass_index, request_id, kind, n, time.perf_counter())
         self.spans.append(span)
         self._stack.append(span)
         return span
 
-    def _close(self, span: Span | None) -> None:
-        if span is not None:
-            span.end = time.perf_counter()
-            self._stack.pop()
+    def _close(self, span: Span) -> None:
+        span.end = time.perf_counter()
+        self._stack.pop()
 
-    def count(self, name: str, value: float, n: int | None = None,
-              combine=lambda old, new: old + new) -> None:
-        """Add to a per-pass counter, and to its per-size twin when n is given."""
-        keys = [name] if n is None else [name, f"{name}.n{n}"]
-        for key in keys:
-            slot = (self.pass_index, key)
-            self.counts[slot] = combine(self.counts[slot], value) if slot in self.counts else value
+    def count(self, name: str, value: float, combine=lambda old, new: old + new) -> None:
+        """Add to a per-pass counter (``combine`` merges it with the pass's earlier value)."""
+        slot = (self.pass_index, name)
+        self.counts[slot] = combine(self.counts[slot], value) if slot in self.counts else value
 
     # ---- summaries -------------------------------------------------------
 
@@ -137,11 +155,10 @@ class Recorder:
     def failures(self) -> list[str]:
         return [r.error for r in self.requests if not r.ok]
 
-    def request_seconds(self, kind: str, n: int | None, traced: bool = False) -> list[float]:
-        """Durations of the successful requests of one kind and size (all of
-        them when none succeeded, so a metric always has a sample)."""
-        records = [r for r in self.requests
-                   if r.kind == kind and r.n == n and r.traced == traced]
+    def request_seconds(self, kind: str, n: int | None) -> list[float]:
+        """Durations of the successful untraced requests of one kind and size
+        (all of them when none succeeded, so a metric always has a sample)."""
+        records = [r for r in self.requests if r.kind == kind and r.n == n and not r.traced]
         good = [r.seconds for r in records if r.ok]
         return good or [r.seconds for r in records]
 
@@ -159,13 +176,12 @@ class Recorder:
         return out
 
     def span_seconds(self) -> dict[str, list[float]]:
-        """Durations of every traced library call, keyed ``<name>_s[.n<size>]``."""
+        """Durations of every traced library call, keyed
+        ``<module>.<function>_s@<request kind>.n<request size>``."""
         out: dict[str, list[float]] = {}
         for s in self.spans:
-            if s.layer == "bench":
-                continue
-            key = f"{s.name}_s" + (f".n{s.n}" if s.n is not None else "")
-            out.setdefault(key, []).append(s.duration)
+            if s.layer != "bench":
+                out.setdefault(f"{s.name}_s@{s.kind}.n{s.n}", []).append(s.duration)
         return out
 
     def pass_counts(self) -> dict[str, list[float]]:

@@ -3,15 +3,17 @@
     python3 bench/run.py --workload lq-analytic --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the package is imported from ``src/``.
-The run sets up the workload several times (the median is ``setup_s``), then
-runs whole passes of its requests until ``--seconds`` have elapsed (at least
-one pass).  Every request checks its answer.  The next-to-last line of stdout
-is a JSON detail record (environment, medians with tail percentiles and sample
+The run repeats whole passes of the workload's requests until they have taken
+up to ``--seconds`` (at least one pass; none starts that would end past that at
+the last pass's pace), and before each pass it times the workload's set-up in
+fresh processes (``setup_s``).  Every request checks its answer.  The
+next-to-last line of stdout is a JSON detail record (environment, medians with tail percentiles and sample
 counts, per-call timings, failures); the last line is
 ``{"correct", "attempted", "failed", "metrics"}``.
 
 With ``--trace 1`` each pass runs once untraced and once traced, the metrics
-are the per-layer ones, and the spans are written to ``bench/out/``.
+are the per-layer ones, and the spans are written to ``bench/out/``.  A traced
+pass wraps the package's public functions, so spans nest as the calls do.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,10 +37,13 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-# Set-up is timed in this many fresh interpreters: the speed of Python code
-# differs between processes on the same machine by up to half, so the median
-# over several processes is steadier than any number of repeats in one.
-SETUP_PROCESSES = 15
+# Set-up is timed in fresh interpreters, this many before each pass.  On a
+# shared 2-vCPU machine the set-up times of successive processes fall near one
+# of two values about 40% apart, roughly half at each, and the machine's load
+# shifts over seconds; so setup_s is the median, over the passes, of the mean
+# of each pass's set-ups, which spreads its samples over the run as the passes'
+# samples are spread, and no single median jumps between the two values.
+SETUPS_PER_PASS = 5
 MODULES = ("core", "games", "lq", "solver", "lab", "io", "cli")
 
 END_TO_END = {
@@ -57,7 +63,6 @@ COUNTS = {
 }
 PER_LAYER = {
     **{f"{layer}.self_s": "s" for layer in LAYERS},
-    "cli.overhead_s": "s",
     "trace.overhead_s": "s",
     **COUNTS,
 }
@@ -95,21 +100,11 @@ def fresh_import() -> SimpleNamespace:
 
 
 def git_commit() -> str:
-    """HEAD of the checkout, read from .git without starting a process."""
-    head = ROOT / ".git" / "HEAD"
-    try:
-        ref = head.read_text().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        name = ref[5:]
-        ref_file = ROOT / ".git" / name
-        if ref_file.is_file():
-            return ref_file.read_text().strip()
-        for line in (ROOT / ".git" / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    except OSError:
-        pass
+    if (ROOT / ".git").exists():
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True)
+        if head.returncode == 0:
+            return head.stdout.strip()
     return "unknown (not a git checkout)"
 
 
@@ -160,35 +155,43 @@ def setup_in_child(name: str, seed: int, tiny: bool, workdir: str) -> float:
 
 def measure(workload, tiny: bool, seed: int, seconds: float, trace: bool, workdir: str) -> dict:
     """Set up, run passes for `seconds`, and summarize; shared with the self-test."""
+    import workloads
     from harness import Recorder, tail_summary
 
     os.makedirs(workdir, exist_ok=True)
-    setup_times = [setup_in_child(workload.name, seed, tiny, workdir)
-                   for _ in range(SETUP_PROCESSES)]
     sizes = workload.tiny if tiny else workload.full
     state = workload.setup(fresh_import(), seed, sizes, workdir)
 
     rec = Recorder(run_id=f"{workload.name}-seed{seed}")
+    modules = [getattr(state.pkg, m) for m in MODULES]
     walls: dict[bool, list[float]] = {False: [], True: []}
     traced_passes = []
+    setup_groups: list[list[float]] = []
     modes = (False, True) if trace else (False,)
-    started = time.perf_counter()
+    measured = 0.0
     while True:
+        setup_groups.append([setup_in_child(workload.name, seed, tiny, workdir)
+                             for _ in range(SETUPS_PER_PASS)])
+        cycle = 0.0
         for traced in modes:
             rec.tracing = traced
             start = time.perf_counter()
-            workload.run_pass(state, rec)
+            with rec.instrument(modules, workloads.count_work) if traced else nullcontext():
+                workload.run_pass(state, rec)
             walls[traced].append(time.perf_counter() - start)
+            cycle += walls[traced][-1]
             if traced:
                 traced_passes.append(rec.pass_index)
             rec.pass_index += 1
-        if time.perf_counter() - started >= seconds:
+        measured += cycle
+        # stop before a cycle that would end past the deadline (one cycle at least)
+        if measured + cycle > seconds:
             break
     rec.tracing = False
 
     headline = workload.headline(sizes)
     samples = {
-        "setup_s": setup_times,
+        "setup_s": [t for group in setup_groups for t in group],
         "wall_s": walls[False],
         **{name: rec.request_seconds(kind, n) for name, (kind, n) in headline.items()},
     }
@@ -203,6 +206,7 @@ def measure(workload, tiny: bool, seed: int, seconds: float, trace: bool, workdi
         "failures": rec.failures,
     }
     metrics = {name: statistics.median(values) for name, values in samples.items()}
+    metrics["setup_s"] = statistics.median(statistics.fmean(g) for g in setup_groups)
     metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     detail["peak_rss_mb"] = metrics["peak_rss_mb"]
 
@@ -210,15 +214,10 @@ def measure(workload, tiny: bool, seed: int, seconds: float, trace: bool, workdi
         per_pass = [rec.self_seconds_by_layer(i) for i in traced_passes]
         layer_metrics = {f"{layer}.self_s": statistics.median(p.get(layer, 0.0) for p in per_pass)
                          for layer in LAYERS}
-        cli_kind, cli_n = workload.cli_equivalent(sizes)
-        layer_metrics["cli.overhead_s"] = (
-            statistics.median(rec.request_seconds("cli", headline["cli_s"][1]))
-            - statistics.median(rec.request_seconds(cli_kind, cli_n))
-        )
         layer_metrics["trace.overhead_s"] = (
             statistics.median(walls[True]) - statistics.median(walls[False]))
         counts = rec.pass_counts()
-        for name in COUNTS:
+        for name in COUNTS:  # a counter no traced call reached reads 0; the self-test rejects it
             layer_metrics[name] = statistics.median(counts.get(name, [0]))
         detail["per_layer"] = layer_metrics
         detail["spans"] = {k: tail_summary(v) for k, v in sorted(rec.span_seconds().items())}
@@ -230,8 +229,9 @@ def measure(workload, tiny: bool, seed: int, seconds: float, trace: bool, workdi
 
 def write_trace(rec, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    spans = [{"id": s.id, "parent": s.parent, "name": s.name, "layer": s.layer, "n": s.n,
-              "pass": s.pass_index, "request": s.request, "start": s.start, "end": s.end}
+    spans = [{"id": s.id, "parent": s.parent, "name": s.name, "layer": s.layer,
+              "pass": s.pass_index, "request": s.request, "request_kind": s.kind,
+              "request_n": s.n, "start": s.start, "end": s.end}
              for s in rec.spans]
     path.write_text(json.dumps({"run_id": rec.run_id, "spans": spans}) + "\n")
 

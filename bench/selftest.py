@@ -3,8 +3,8 @@
     python3 bench/selftest.py
 
 Runs every workload once untraced and once traced, and fails unless every
-request passes its check and every metric named in BENCHMARK.json is emitted
-with the unit it declares.  Takes a few seconds.
+request passes its check and every metric named in BENCHMARK.json is emitted,
+nonzero, with the unit it declares.  Takes under a minute.
 """
 
 import json
@@ -47,6 +47,9 @@ def main() -> int:
             json.dumps(line, allow_nan=False)
             if not line["correct"] or line["failed"] or line["attempted"] < 1:
                 problems.append(f"{name} trace={trace}: {out['detail']['failures']}")
+            zero = sorted(k for k, v in line["metrics"].items() if v["value"] == 0)
+            if zero:
+                problems.append(f"{name} trace={trace}: metrics read 0: {zero}")
             print(f"{name:22s} trace={int(trace)} attempted={line['attempted']} "
                   f"failed={line['failed']} metrics={len(line['metrics'])}")
     for p in problems:

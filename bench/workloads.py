@@ -3,14 +3,16 @@
 A set-up builds a workload's kernels, games and plan from the seed and writes
 the input files its command-line request reads.  A pass is a closed loop: the
 requests run one after another in this process, each waiting for the previous
-one, and every request checks its own answer.  Library calls made here are
-wrapped in ``rec.span`` so a traced pass can attribute time to the package's
-layers (core, games, lq, solver, lab, io, cli).
+one, and every request checks its own answer.  In a traced pass the
+package's functions are wrapped from outside (``Recorder.instrument``), so no
+call made here needs a span of its own; ``count_work`` reads the per-pass work
+counters off the traced calls.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io as _stdio
 import json
 import os
@@ -20,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from harness import require
+
 LAM = 0.5                # network-effect strength of the reference game
 CAP = 4.0                # strategy cap L of the reference game
 ALPHA = 0.5              # SeparablePowerGraphon exponent of the reference game
@@ -28,10 +32,6 @@ CLOSED_FORM_TOL = 5e-3   # acceptance criterion 1: s = 1 + (4/9) sqrt(t)
 RESOLVENT_TOL = 1e-8     # Neumann truncation tolerance (the library default)
 COARSE_EPS_TOL = 0.05    # ExperimentPlan's default eps_tolerance
 EDGE_PROBABILITY = 0.3   # Erdos-Renyi density of the network-step adjacencies
-
-
-def quadrature(core) -> int:
-    return getattr(core, "DEFAULT_QUADRATURE", 4)
 
 
 def rank1_factors(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,79 +51,78 @@ def closed_form(n: int) -> np.ndarray:
     return 1.0 + (4.0 / 9.0) * np.sqrt((np.arange(n) + 0.5) / n)
 
 
-def run_cli(rec, pkg, argv: list[str], n: int) -> tuple[int, str]:
+def count_work(rec, name, fn, args, kwargs, result) -> None:
+    """Per-pass work counters, read off the arguments and results of traced calls."""
+    if name == "core.step_approximation":
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        # an analytic kernel is sampled m x m times per cell; a step kernel once
+        step_kernel = isinstance(bound.arguments["W"], fn.__globals__["StepGraphon"])
+        m = 1 if step_kernel else bound.arguments["m"]
+        rec.count("core.step_approximation.bytes_computed", result.values.nbytes * m * m)
+    elif name == "core.resolvent":
+        order, n = result.truncation_order, result.grid.n_cells
+        rec.count("core.resolvent.order", order, combine=max)
+        rec.count("core.resolvent.flops_computed", 2 * (order - 1) * n ** 3)
+    elif name == "solver.solve":
+        rec.count("solver.solve.iterations", result[1].iterations)
+
+
+def run_cli(pkg, argv: list[str]) -> tuple[int, str]:
     """``graphon-games <argv>`` in-process; returns (exit code, its stdout)."""
     out = _stdio.StringIO()
-    with rec.span("cli.main", n), contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out):
         code = pkg.cli.main(argv)
     return code, out.getvalue()
 
 
-def lq_solve_cli(rec, pkg, st, source_args: list[str], req):
-    """``graphon-games lq solve`` on the workload's graphon file; the request
-    fails unless it exits 0 and reports a certified equilibrium.  Returns the
-    profile it wrote."""
+def lq_solve_cli(pkg, st):
+    """``graphon-games lq solve`` on the workload's graphon and source files;
+    the request fails unless it exits 0 and reports a certified
+    equilibrium.  Returns the profile it wrote."""
     out = os.path.join(st.workdir, "lq_solve.csv")
-    code, text = run_cli(rec, pkg, [
+    code, text = run_cli(pkg, [
         "lq", "solve", "--graphon", st.graphon_path, "--lambda", str(LAM), "--L", str(CAP),
-        *source_args, "--tol", str(RESOLVENT_TOL), "--out", out,
-    ], st.sizes.cli)
-    req.require(code == 0 and "certified=True" in text, f"lq solve exit {code}: {text!r}")
-    with rec.span("io.load_profile_csv", st.sizes.cli):
-        return pkg.io.load_profile_csv(out)
+        "--g", st.source_path, "--tol", str(RESOLVENT_TOL), "--out", out,
+    ])
+    require(code == 0 and "certified=True" in text, f"lq solve exit {code}: {text!r}")
+    return pkg.io.load_profile_csv(out)
 
 
-def certify(rec, pkg, W, params, g, req):
+def certify(pkg, W, params, g):
     """equilibrium_from_source then verify_equilibrium; the request fails unless
     the profile is certified with epsilon* <= CERT_TOL."""
-    n = g.grid.n_cells
-    with rec.span("lq.equilibrium_from_source", n):
-        s = pkg.lq.equilibrium_from_source(W, params, g, RESOLVENT_TOL)
-    with rec.span("lq.verify_equilibrium", n):
-        cert = pkg.lq.verify_equilibrium(W, params, s, tol=CERT_TOL)
+    s = pkg.lq.equilibrium_from_source(W, params, g, RESOLVENT_TOL)
+    cert = pkg.lq.verify_equilibrium(W, params, s, tol=CERT_TOL)
     eps = cert.report.epsilon_star
-    req.require(cert.certified and eps <= CERT_TOL,
-                f"not certified (certified={cert.certified}, epsilon*={eps:.3g})")
+    require(cert.certified and eps <= CERT_TOL,
+            f"not certified (certified={cert.certified}, epsilon*={eps:.3g})")
     return s
 
 
-def solve_from_cap(rec, pkg, game, req):
+def solve_from_cap(pkg, game):
     """Damped best response from const:L; the request fails unless it converges
     to a profile with epsilon* <= CERT_TOL."""
-    n = game.grid.n_cells
     f0 = pkg.core.StepProfile.constant(game.cap, game.grid)
-    with rec.span("solver.solve", n):
-        f, trace = pkg.solver.solve(game, f0)
-    rec.count("solver.solve.iterations", trace.iterations, n)
+    f, trace = pkg.solver.solve(game, f0)
     eps = trace.final_report.epsilon_star
-    req.require(trace.converged and eps <= CERT_TOL,
-                f"solve: converged={trace.converged} epsilon*={eps:.3g}")
+    require(trace.converged and eps <= CERT_TOL,
+            f"solve: converged={trace.converged} epsilon*={eps:.3g}")
     return f
-
-
-def resolvent_request(rec, pkg, W, grid, req):
-    n = grid.n_cells
-    with rec.span("core.resolvent", n):
-        kernel = pkg.core.resolvent(W, LAM, grid, RESOLVENT_TOL)
-    order = kernel.truncation_order
-    rec.count("core.resolvent.order", order, n, combine=max)
-    rec.count("core.resolvent.flops_computed", 2 * (order - 1) * n ** 3, n)
-    req.require(kernel.tail_bound <= RESOLVENT_TOL, f"tail bound {kernel.tail_bound:.3g}")
-    return kernel
 
 
 # ---------------------------------------------------------------- lq-analytic
 
 @dataclass(frozen=True)
 class LQSizes:
-    eq: tuple[int, ...] = (256, 1024, 2048)        # g = 1, checked against the closed form
-    random_source: tuple[int, ...] = (256, 1024)   # seeded g in [0, 1]
-    solve: tuple[int, ...] = (256, 1024)
-    step: tuple[int, ...] = (256, 1024, 2048)
-    resolvent: tuple[int, ...] = (1024, 2048)
-    aggregate: int = 1024
+    # N = 2048 only in the quadrature: it sets the peak memory (537 MB of
+    # samples), and a certified equilibrium there takes about 14 s, which
+    # would leave one sample per run.
+    step: tuple[int, ...] = (1024, 2048)
+    eq: int = 1024      # g = 1 (closed form) and a seeded g in [0, 1]; also
+                        # local_aggregate, solve and best_response_map
     coarse: int = 256
-    cli: int = 1024
+    cli: int = 512
 
 
 def setup_lq(pkg, seed: int, sizes: LQSizes, workdir: str):
@@ -131,22 +130,19 @@ def setup_lq(pkg, seed: int, sizes: LQSizes, workdir: str):
     rng = np.random.default_rng(seed)
     W = core.SeparablePowerGraphon(ALPHA)
     params = lq.LQParams(LAM, CAP)
-    every = sorted(set(sizes.eq + sizes.random_source + sizes.solve + sizes.step
-                       + sizes.resolvent + (sizes.aggregate, sizes.cli)))
-    grids = {n: core.GridSpec(n) for n in every}
-    random_sources = {n: lq.SourceFunction(core.StepProfile(grids[n], rng.random(n)))
-                      for n in sizes.random_source}
+    grid = core.GridSpec(sizes.eq)
     graphon_path = os.path.join(workdir, "graphon.json")
     source_path = os.path.join(workdir, "source.csv")
+    cli_source = core.StepProfile(core.GridSpec(sizes.cli), rng.random(sizes.cli))
     pkg.io.save_json(graphon_path, W.descriptor())
-    pkg.io.save_profile_csv(source_path, random_sources[sizes.cli].profile)
+    pkg.io.save_profile_csv(source_path, cli_source)
     return SimpleNamespace(
-        pkg=pkg, sizes=sizes, workdir=workdir, W=W, params=params, grids=grids,
-        games={n: lq.lq_game(W, params, grids[n]) for n in every},
-        ones={n: lq.SourceFunction.constant(1.0, grids[n]) for n in sizes.eq},
-        random_sources=random_sources,
-        aggregate_input=core.StepProfile(grids[sizes.aggregate],
-                                         rng.uniform(0.0, CAP, sizes.aggregate)),
+        pkg=pkg, sizes=sizes, workdir=workdir, W=W, params=params,
+        game=lq.lq_game(W, params, grid),
+        one=lq.SourceFunction.constant(1.0, grid),
+        random_source=lq.SourceFunction(core.StepProfile(grid, rng.random(sizes.eq))),
+        aggregate_input=core.StepProfile(grid, rng.uniform(0.0, CAP, sizes.eq)),
+        cli_source=cli_source.values,
         graphon_path=graphon_path,
         source_path=source_path,
     )
@@ -155,83 +151,55 @@ def setup_lq(pkg, seed: int, sizes: LQSizes, workdir: str):
 def pass_lq(st, rec) -> None:
     pkg, sizes, W, params = st.pkg, st.sizes, st.W, st.params
     core = pkg.core
-    m = quadrature(core)
+    m = core.DEFAULT_QUADRATURE
 
     for n in sizes.step:
-        with rec.request("step_approximation", n) as req:
-            with rec.span("core.step_approximation", n):
-                wbar = core.step_approximation(W, n)
-            rec.count("core.step_approximation.bytes_computed", (n * m) ** 2 * 8, n)
+        with rec.request("step_approximation", n):
+            wbar = core.step_approximation(W, n)
             a, b = rank1_factors(n, m)
             gap = np.abs(wbar.values - np.outer(a, b)).max()
-            req.require(gap <= 1e-12, f"step approximation off the rank-1 averages by {gap:.3g}")
+            require(gap <= 1e-12, f"step approximation off the rank-1 averages by {gap:.3g}")
 
-    n = sizes.aggregate
-    with rec.request("local_aggregate", n) as req:
+    n = sizes.eq
+    a, b = rank1_factors(n, m)
+    with rec.request("local_aggregate", n):
         f = st.aggregate_input
-        with rec.span("core.local_aggregate", n):
-            e = core.local_aggregate(W, f)
-        a, b = rank1_factors(n, m)
+        e = core.local_aggregate(W, f)
         gap = np.abs(e.values - a * (b @ f.values) / n).max()
-        req.require(gap <= 1e-12, f"aggregate off the rank-1 closed form by {gap:.3g}")
+        require(gap <= 1e-12, f"aggregate off the rank-1 closed form by {gap:.3g}")
 
-    for n in sizes.resolvent:
-        with rec.request("resolvent", n) as req:
-            kernel = resolvent_request(rec, pkg, W, st.grids[n], req)
-            a, b = rank1_factors(n, m)
-            rho = LAM * (b @ a) / n
-            gap = np.abs(kernel.gamma - np.outer(a, b) / (1.0 - rho)).max()
-            req.require(gap <= kernel.tail_bound + 1e-10,
-                        f"gamma off the degenerate-kernel closed form by {gap:.3g}")
+    with rec.request("eq_cert", n):
+        s = certify(pkg, W, params, st.one)
+        gap = np.abs(s.values - closed_form(n)).max()
+        require(gap <= CLOSED_FORM_TOL, f"closed-form miss {gap:.3g}")
+    with rec.request("eq_cert", n):
+        certify(pkg, W, params, st.random_source)
 
-    equilibria, random_equilibria = {}, {}
-    for n in sizes.eq:
-        with rec.request("eq_cert", n) as req:
-            s = certify(rec, pkg, W, params, st.ones[n], req)
-            gap = np.abs(s.values - closed_form(n)).max()
-            req.require(gap <= CLOSED_FORM_TOL, f"closed-form miss {gap:.3g}")
-            equilibria[n] = s
-    for n in sizes.random_source:
-        with rec.request("eq_cert", n) as req:
-            random_equilibria[n] = certify(rec, pkg, W, params, st.random_sources[n], req)
+    c = sizes.coarse
+    with rec.request("coarsen", c):
+        (net,) = pkg.lab.build_network_sequence(st.game, (c,))
+        s_c = pkg.lab.approximate_profile(s, c)
+        eps = pkg.games.regret_profile(net, s_c).epsilon_star
+        require(eps <= COARSE_EPS_TOL, f"coarsened epsilon_n {eps:.3g}")
 
-    n = sizes.cli
-    with rec.request("cli", n) as req:
-        s = lq_solve_cli(rec, pkg, st, ["--g", st.source_path], req)
-        gap = np.abs(s.values - random_equilibria[n].values).max()
-        req.require(gap <= 1e-12, f"lq solve differs from the in-process equilibrium by {gap:.3g}")
+    with rec.request("br_solve", n):
+        solve_from_cap(pkg, st.game)
 
-    n, c = max(sizes.eq), sizes.coarse
-    with rec.request("coarsen", c) as req:
-        with rec.span("lab.build_network_sequence", c):
-            (net,) = pkg.lab.build_network_sequence(st.games[n], (c,))
-        with rec.span("lab.approximate_profile", c):
-            s_c = pkg.lab.approximate_profile(equilibria[n], c)
-        with rec.span("games.regret_profile_network", c):
-            eps = pkg.games.regret_profile(net, s_c).epsilon_star
-        req.require(eps <= COARSE_EPS_TOL, f"coarsened epsilon_n {eps:.3g}")
-
-    for n in sizes.solve:
-        with rec.request("br_solve", n) as req:
-            solve_from_cap(rec, pkg, st.games[n], req)
-
-    n = max(sizes.solve)
-    with rec.request("best_response_map", n) as req:
-        game = st.games[n]
-        f0 = core.StepProfile.constant(CAP, game.grid)
-        with rec.span("solver.best_response_map", n):
-            br = pkg.solver.best_response_map(game, f0)
+    with rec.request("best_response_map", n):
+        f0 = core.StepProfile.constant(CAP, st.game.grid)
+        br = pkg.solver.best_response_map(st.game, f0)
         # from f = L the nearest point of the plateau [lam*e, lam*e + 1] is its top
-        a, b = rank1_factors(n, m)
         expected = LAM * a * (b.sum() * CAP) / n + 1.0
         gap = np.abs(br.values - expected).max()
-        req.require(gap <= 1e-12, f"best response off the plateau top by {gap:.3g}")
+        require(gap <= 1e-12, f"best response off the plateau top by {gap:.3g}")
 
     n = sizes.cli
-    with rec.request("cli", n) as req:
-        s = lq_solve_cli(rec, pkg, st, ["--g", "const:1.0", "--n", str(n)], req)
-        gap = np.abs(s.values - closed_form(n)).max()
-        req.require(gap <= CLOSED_FORM_TOL, f"lq solve closed-form miss {gap:.3g}")
+    with rec.request("cli", n):
+        s = lq_solve_cli(pkg, st).values
+        # s solves s = g + lam * (Wbar s) / n, and Wbar is the rank-1 outer(a, b)
+        a, b = rank1_factors(n, m)
+        residual = np.abs(s - LAM * a * (b @ s) / n - st.cli_source).max()
+        require(residual <= 10 * RESOLVENT_TOL, f"lq solve Fredholm residual {residual:.3g}")
 
 
 # --------------------------------------------------------------- network-step
@@ -281,63 +249,56 @@ def pass_network(st, rec) -> None:
 
     for n in sizes.players:
         net = st.nets[n]
-        with rec.request("embed_network", n) as req:
-            with rec.span("games.embed_network", n):
-                embedded = {"plateau": games.embed_network(net.plateau),
-                            "quadratic": games.embed_network(net.quadratic)}
-            req.require(all(np.array_equal(g.graphon.values, net.adjacency)
-                            for g in embedded.values()), "embedding changed the adjacency")
+        with rec.request("embed_network", n):
+            embedded = {"plateau": games.embed_network(net.plateau),
+                        "quadratic": games.embed_network(net.quadratic)}
+            require(all(np.array_equal(g.graphon.values, net.adjacency)
+                        for g in embedded.values()), "embedding changed the adjacency")
         plateau_games[n] = embedded["plateau"]
 
-        with rec.request("regret_match", n) as req:
+        with rec.request("regret_match", n):
             for kind, emb in embedded.items():
-                with rec.span("games.regret_profile_network", n):
-                    on_network = games.regret_profile(getattr(net, kind), net.strategy)
-                with rec.span("games.regret_profile", n):
-                    on_graphon = games.regret_profile(emb, games.embed_strategy(net.strategy))
-                req.require(
-                    np.array_equal(on_network.regrets.values, on_graphon.regrets.values)
-                    and on_network.epsilon_star == on_graphon.epsilon_star,
-                    f"{kind}: network and embedded regrets differ")
+                on_network = games.regret_profile(getattr(net, kind), net.strategy)
+                on_graphon = games.regret_profile(emb, games.embed_strategy(net.strategy))
+                require(np.array_equal(on_network.regrets.values, on_graphon.regrets.values)
+                        and on_network.epsilon_star == on_graphon.epsilon_star,
+                        f"{kind}: network and embedded regrets differ")
 
         W = embedded["plateau"].graphon
-        with rec.request("step_approximation", n) as req:
-            with rec.span("core.step_approximation", n):
-                wbar = core.step_approximation(W, n)
-            req.require(np.array_equal(wbar.values, net.adjacency), "n-step kernel changed")
+        with rec.request("step_approximation", n):
+            wbar = core.step_approximation(W, n)
+            require(np.array_equal(wbar.values, net.adjacency), "n-step kernel changed")
 
-        with rec.request("resolvent", n) as req:
-            kernel = resolvent_request(rec, pkg, W, net.grid, req)
+        with rec.request("resolvent", n):
+            kernel = core.resolvent(W, LAM, net.grid, RESOLVENT_TOL)
+            require(kernel.tail_bound <= RESOLVENT_TOL, f"tail bound {kernel.tail_bound:.3g}")
             g = net.source.values
             s = g + LAM * kernel.apply(g).values
             residual = np.abs(s - LAM * net.adjacency @ s / n - g).max()
-            req.require(residual <= 10 * RESOLVENT_TOL, f"Fredholm residual {residual:.3g}")
+            require(residual <= 10 * RESOLVENT_TOL, f"Fredholm residual {residual:.3g}")
 
-        with rec.request("eq_cert", n) as req:
-            equilibria[n] = certify(rec, pkg, W, st.params, net.source, req)
+        with rec.request("eq_cert", n):
+            equilibria[n] = certify(pkg, W, st.params, net.source)
 
         for emb in embedded.values():
-            with rec.request("br_solve", n) as req:
-                solve_from_cap(rec, pkg, emb, req)
+            with rec.request("br_solve", n):
+                solve_from_cap(pkg, emb)
 
     n, c = max(sizes.players), sizes.coarse
-    with rec.request("coarsen", c) as req:
-        with rec.span("lab.build_network_sequence", c):
-            (coarse,) = pkg.lab.build_network_sequence(plateau_games[n], (c,))
+    with rec.request("coarsen", c):
+        (coarse,) = pkg.lab.build_network_sequence(plateau_games[n], (c,))
         blocks = st.nets[n].adjacency.reshape(c, n // c, c, n // c).mean(axis=(1, 3))
         gap = np.abs(coarse.adjacency - blocks).max()
-        req.require(gap <= 1e-12, f"coarsened adjacency off the block means by {gap:.3g}")
-        with rec.span("lab.approximate_profile", c):
-            s_c = pkg.lab.approximate_profile(equilibria[n], c)
-        with rec.span("games.regret_profile_network", c):
-            eps = games.regret_profile(coarse, s_c).epsilon_star
-        req.require(eps <= COARSE_EPS_TOL, f"coarsened epsilon_n {eps:.3g}")
+        require(gap <= 1e-12, f"coarsened adjacency off the block means by {gap:.3g}")
+        s_c = pkg.lab.approximate_profile(equilibria[n], c)
+        eps = games.regret_profile(coarse, s_c).epsilon_star
+        require(eps <= COARSE_EPS_TOL, f"coarsened epsilon_n {eps:.3g}")
 
     n = sizes.cli
-    with rec.request("cli", n) as req:
-        s = lq_solve_cli(rec, pkg, st, ["--g", st.source_path], req)
+    with rec.request("cli", n):
+        s = lq_solve_cli(pkg, st)
         gap = np.abs(s.values - equilibria[n].values).max()
-        req.require(gap <= 1e-12, f"lq solve differs from the in-process equilibrium by {gap:.3g}")
+        require(gap <= 1e-12, f"lq solve differs from the in-process equilibrium by {gap:.3g}")
 
 
 # ------------------------------------------------------- lab-characterization
@@ -382,55 +343,39 @@ def pass_lab(st, rec) -> None:
     game = plan.game
     n = game.grid.n_cells
 
-    with rec.request("eq_cert", n) as req:
+    with rec.request("eq_cert", n):
         g = pkg.lq.SourceFunction.constant(1.0, game.grid)
-        reference = certify(rec, pkg, game.graphon, st.params, g, req)
+        reference = certify(pkg, game.graphon, st.params, g)
         gap = np.abs(reference.values - closed_form(n)).max()
-        req.require(gap <= CLOSED_FORM_TOL, f"closed-form miss {gap:.3g}")
-    with rec.request("eq_cert", n) as req:
-        certify(rec, pkg, game.graphon, st.params, st.random_source, req)
+        require(gap <= CLOSED_FORM_TOL, f"closed-form miss {gap:.3g}")
+    with rec.request("eq_cert", n):
+        certify(pkg, game.graphon, st.params, st.random_source)
 
-    with rec.request("br_solve", n) as req:
-        solve_from_cap(rec, pkg, game, req)
+    with rec.request("br_solve", n):
+        solve_from_cap(pkg, game)
 
-    with rec.request("sequence", n) as req:
-        with rec.span("lab.build_network_sequence", n):
-            nets = lab.build_network_sequence(game, plan.n_list)
-        errors = []
-        for net in nets:
-            with rec.span("core.graphon_l1_distance", n):
-                errors.append(core.graphon_l1_distance(
-                    game.graphon, core.StepGraphon(net.adjacency), resolution=n))
-        req.require(all(b < a for a, b in zip(errors, errors[1:])),
-                    f"kernel L1 errors do not shrink: {errors}")
+    with rec.request("sequence", n):
+        nets = lab.build_network_sequence(game, plan.n_list)
+        errors = [core.graphon_l1_distance(game.graphon, core.StepGraphon(net.adjacency),
+                                           resolution=n)
+                  for net in nets]
+        require(all(b < a for a, b in zip(errors, errors[1:])),
+                f"kernel L1 errors do not shrink: {errors}")
         top = nets[-1]
-        with rec.span("lab.approximate_profile", top.n_players):
-            s_top = lab.approximate_profile(reference, top.n_players)
-        with rec.span("games.regret_profile_network", top.n_players):
-            on_network = games.regret_profile(top, s_top)
-        with rec.span("games.embed_network", top.n_players):
-            embedded = games.embed_network(top)
-        with rec.span("games.regret_profile", top.n_players):
-            on_graphon = games.regret_profile(embedded, games.embed_strategy(s_top))
-        req.require(np.array_equal(on_network.regrets.values, on_graphon.regrets.values),
-                    "network and embedded regrets differ")
-        req.require(on_network.epsilon_star <= plan.eps_tolerance,
-                    f"coarsened epsilon_n {on_network.epsilon_star:.3g}")
+        s_top = lab.approximate_profile(reference, top.n_players)
+        on_network = games.regret_profile(top, s_top)
+        on_graphon = games.regret_profile(games.embed_network(top), games.embed_strategy(s_top))
+        require(np.array_equal(on_network.regrets.values, on_graphon.regrets.values),
+                "network and embedded regrets differ")
+        require(on_network.epsilon_star <= plan.eps_tolerance,
+                f"coarsened epsilon_n {on_network.epsilon_star:.3g}")
 
-    for kind, run in (("coarsened", lab.run_coarsened_equilibrium_experiment),
-                      ("limit", lab.run_limit_equilibrium_experiment),
-                      ("suite", lab.run_characterization_suite)):
-        with rec.request(kind, n) as req:
-            with rec.span(f"lab.{run.__name__}", n):
-                result = run(plan)
-            req.require(result.passed, f"{kind} experiment did not pass: {result.summary()}")
-
-    with rec.request("cli", n) as req:
-        code, text = run_cli(rec, pkg, ["lab", "run", "--plan", st.plan_path,
-                                        "--out", st.out_dir], n)
-        with rec.span("io.load_json", n):
-            summary = pkg.io.load_json(os.path.join(st.out_dir, "summary.json"))
-        req.require(code == 0 and summary["passed"] is True, f"lab run exit {code}: {text!r}")
+    # runs both experiments on both sequences (the characterization suite);
+    # a traced pass times each of them inside this request
+    with rec.request("cli", n):
+        code, text = run_cli(pkg, ["lab", "run", "--plan", st.plan_path, "--out", st.out_dir])
+        summary = pkg.io.load_json(os.path.join(st.out_dir, "summary.json"))
+        require(code == 0 and summary["passed"] is True, f"lab run exit {code}: {text!r}")
 
 
 # ------------------------------------------------------------------ registry
@@ -446,20 +391,16 @@ class Workload:
     tiny: object
     # end-to-end metric -> (request kind, size) whose median it reports
     headline: Callable[[object], dict[str, tuple[str, int]]]
-    # the in-process request that does the work of the "cli" request
-    cli_equivalent: Callable[[object], tuple[str, int]]
 
 
 WORKLOADS = {w.name: w for w in (
     Workload(
         "lq-analytic",
         setup_lq, pass_lq, LQSizes(),
-        LQSizes(eq=(16, 32), random_source=(16,), solve=(16,), step=(16, 32),
-                resolvent=(16, 32), aggregate=16, coarse=8, cli=16),
-        lambda s: {"eq_cert_s": ("eq_cert", max(s.eq)),
-                   "br_solve_s": ("br_solve", max(s.solve)),
+        LQSizes(step=(16, 32), eq=16, coarse=8, cli=8),
+        lambda s: {"eq_cert_s": ("eq_cert", s.eq),
+                   "br_solve_s": ("br_solve", s.eq),
                    "cli_s": ("cli", s.cli)},
-        lambda s: ("eq_cert", s.cli),
     ),
     Workload(
         "network-step",
@@ -468,7 +409,6 @@ WORKLOADS = {w.name: w for w in (
         lambda s: {"eq_cert_s": ("eq_cert", max(s.players)),
                    "br_solve_s": ("br_solve", max(s.players)),
                    "cli_s": ("cli", s.cli)},
-        lambda s: ("eq_cert", s.cli),
     ),
     Workload(
         "lab-characterization",
@@ -477,6 +417,5 @@ WORKLOADS = {w.name: w for w in (
         lambda s: {"eq_cert_s": ("eq_cert", s.grid),
                    "br_solve_s": ("br_solve", s.grid),
                    "cli_s": ("cli", s.grid)},
-        lambda s: ("suite", s.grid),
     ),
 )}
