@@ -9,6 +9,7 @@ from .core import (
     GridSpec,
     ProductGraphon,
     ResolventKernel,
+    SeparableGraphon,
     SeparablePowerGraphon,
     StepGraphon,
     StepProfile,

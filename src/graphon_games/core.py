@@ -8,7 +8,9 @@ cell-average quadratures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +23,7 @@ class GridCompatibilityError(ValueError):
 
 
 class ContractionError(ValueError):
-    """The Neumann series diverges because lambda * ||W||_inf >= 1."""
+    """The Neumann series diverges because lambda * ||W||_inf is not < 1."""
 
 
 @dataclass(frozen=True)
@@ -139,59 +141,72 @@ class Graphon:
 
 
 @dataclass(frozen=True)
-class ConstantGraphon(Graphon):
-    c: float
-    family = "constant"
+class SeparableGraphon(Graphon):
+    """Rank-1 kernel W(t, s) = a(t) * b(s), the form of every built-in analytic family.
 
-    def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"constant graphon value {self.c} outside [0, 1]")
+    ``family`` and ``params`` are the JSON description (and decide equality);
+    ``a`` and ``b`` are the factor functions and ``sup`` the exact analytic sup.
+    Build instances with ``ConstantGraphon``, ``ProductGraphon`` or
+    ``SeparablePowerGraphon``.
+    """
+
+    family: str = field()  # an instance field; field() drops Graphon's class default
+    params: tuple[tuple[str, float], ...]
+    a: Callable = field(compare=False, repr=False)
+    b: Callable = field(compare=False, repr=False)
+    sup: float = field(compare=False, repr=False)
 
     def evaluate(self, t, s):
-        return np.full(np.broadcast_shapes(np.shape(t), np.shape(s)), self.c)
+        return np.asarray(self.a(t), dtype=float) * np.asarray(self.b(s), dtype=float)
 
     def sup_norm(self) -> float:
-        return self.c
+        return self.sup
 
     def descriptor(self) -> dict:
-        return {"family": "constant", "params": {"c": self.c}}
+        return {"family": self.family, "params": dict(self.params)}
 
 
-@dataclass(frozen=True)
-class ProductGraphon(Graphon):
+def _constant(c: float, x):
+    return np.full(np.shape(x), c)
+
+
+def _power(p: float, x):
+    return np.asarray(x, dtype=float) ** p
+
+
+def _identity(x):
+    return np.asarray(x, dtype=float)
+
+
+def ConstantGraphon(c: float) -> SeparableGraphon:
+    """W(t, s) = c with c in [0, 1]."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"constant graphon value {c} outside [0, 1]")
+    c = float(c)
+    return SeparableGraphon("constant", (("c", c),), partial(_constant, c),
+                            partial(_constant, 1.0), c)
+
+
+def ProductGraphon() -> SeparableGraphon:
     """W(t, s) = t * s."""
-
-    family = "product"
-
-    def evaluate(self, t, s):
-        return np.asarray(t, dtype=float) * np.asarray(s, dtype=float)
-
-    def sup_norm(self) -> float:
-        return 1.0
-
-    def descriptor(self) -> dict:
-        return {"family": "product", "params": {}}
+    return SeparableGraphon("product", (), _identity, _identity, 1.0)
 
 
-@dataclass(frozen=True)
-class SeparablePowerGraphon(Graphon):
+def SeparablePowerGraphon(alpha: float) -> SeparableGraphon:
     """W(t, s) = t^alpha * s^(1-alpha) with alpha in (0, 1); not symmetric."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = float(alpha)
+    return SeparableGraphon("separable_power", (("alpha", alpha),), partial(_power, alpha),
+                            partial(_power, 1.0 - alpha), 1.0)
 
-    alpha: float
-    family = "separable_power"
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    def evaluate(self, t, s):
-        return np.asarray(t, dtype=float) ** self.alpha * np.asarray(s, dtype=float) ** (1.0 - self.alpha)
-
-    def sup_norm(self) -> float:
-        return 1.0
-
-    def descriptor(self) -> dict:
-        return {"family": "separable_power", "params": {"alpha": self.alpha}}
+# JSON family name -> constructor taking the descriptor's params as keywords
+SEPARABLE_FAMILIES = {
+    "constant": ConstantGraphon,
+    "product": ProductGraphon,
+    "separable_power": SeparablePowerGraphon,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +224,8 @@ class StepGraphon(Graphon):
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"step graphon needs a square matrix, got shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError("step graphon entries must be finite")
         if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
             raise ValueError("step graphon entries must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
@@ -241,9 +258,11 @@ def _overlap_weights(n: int, p: int) -> np.ndarray:
 def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepGraphon:
     """Project a graphon onto the n-step grid by per-rectangle averaging.
 
-    Analytic kernels are averaged with an m x m midpoint rule per cell (m = 1
-    evaluates at the cell midpoint); step graphons are averaged exactly through
-    rectangle overlaps, so an input that is already n-step comes back unchanged.
+    Step graphons are averaged exactly through rectangle overlaps, so an input
+    that is already n-step comes back unchanged.  A separable kernel a(t)b(s)
+    is averaged with the m x m midpoint rule per cell (m = 1 evaluates at the
+    cell midpoint); that average factors exactly into the outer product of the
+    m-point cell averages of a and of b, so only n * m samples are taken.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -252,12 +271,14 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
             return StepGraphon(W.values)
         weights = _overlap_weights(n, W.n)
         return StepGraphon(np.clip(weights @ W.values @ weights.T, 0.0, 1.0))
+    if not isinstance(W, SeparableGraphon):
+        raise TypeError(f"no step approximation for {type(W).__name__}")
     if m < 1:
         raise ValueError(f"need m >= 1 sub-samples, got {m}")
     pts = (np.arange(n * m) + 0.5) / (n * m)
-    samples = np.asarray(W.evaluate(pts[:, None], pts[None, :]), dtype=float)
-    vals = samples.reshape(n, m, n, m).mean(axis=(1, 3))
-    return StepGraphon(np.clip(vals, 0.0, 1.0))
+    abar = np.asarray(W.a(pts), dtype=float).reshape(n, m).mean(axis=1)
+    bbar = np.asarray(W.b(pts), dtype=float).reshape(n, m).mean(axis=1)
+    return StepGraphon(np.clip(np.outer(abar, bbar), 0.0, 1.0))
 
 
 def local_aggregate(W: Graphon, f: StepProfile, m: int = DEFAULT_QUADRATURE,
@@ -336,15 +357,15 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float,
     lambda * c < 1; with it, (I - lambda*K)^(-1) = I + lambda*Gamma holds on the
     grid up to the recorded tail bound.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if lam < 0:
+    if not (lam >= 0):
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     c = W.sup_norm()
     rho = lam * c
-    if rho >= 1.0:
+    if not (rho < 1.0):
         raise ContractionError(
-            f"contraction violated: lambda * ||W||_inf = {rho:.6g} >= 1"
+            f"contraction violated: lambda * ||W||_inf = {rho:.6g} is not < 1"
         )
 
     def tail(k: int) -> float:

@@ -220,6 +220,8 @@ class NetworkGame:
         adj = np.array(self.adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        if not np.isfinite(adj).all():
+            raise ValueError("adjacency entries must be finite")
         if adj.min() < -1e-12 or adj.max() > 1.0 + 1e-12:
             raise ValueError("adjacency entries must lie in [0, 1] so the step embedding is a graphon")
         if self.cap <= 0:
@@ -307,6 +309,28 @@ def epsilon_star(regrets) -> float:
     return float(np.min(np.maximum(np.arange(n + 1) / n, thresholds)))
 
 
+def best_responses(utilities: UtilitySpec, agg, cap: float,
+                   br_tol: float = BEST_RESPONSE_TOL):
+    """Best-response interval (lo, hi) and maximal utility per cell over [0, cap]
+    under aggregate agg.
+
+    Uses the family's closed forms when it has them; otherwise golden-section
+    search on the quasi-concave utility supplies both (the interval is then the
+    single point it located to within br_tol).
+    """
+    interval = utilities.best_response(agg, cap)
+    best = utilities.best_value(agg, cap)
+    if interval is None or best is None:
+        point, value = golden_section_max(
+            lambda a: utilities.evaluate(a, agg), 0.0, cap, br_tol
+        )
+        if interval is None:
+            interval = (point, point)
+        if best is None:
+            best = value
+    return interval, np.asarray(best, float)
+
+
 def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretReport:
     """Regret h(i) = max_a u_i(a, e_i) - u_i(f_i, e_i) per cell, plus epsilon*.
 
@@ -333,12 +357,8 @@ def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretRe
         raise ValueError(f"profile leaves the strategy interval [0, {game.cap}]")
 
     current = np.asarray(game.utilities.evaluate(values, agg), float)
-    best = game.utilities.best_value(agg, game.cap)
-    if best is None:
-        _, best = golden_section_max(
-            lambda a: game.utilities.evaluate(a, agg), 0.0, game.cap, br_tol
-        )
-    h = np.maximum(np.asarray(best, float) - current, 0.0)
+    _, best = best_responses(game.utilities, agg, game.cap, br_tol)
+    h = np.maximum(best - current, 0.0)
     return RegretReport(
         regrets=StepProfile(grid, h),
         epsilon_star=epsilon_star(h),

@@ -8,15 +8,7 @@ import os
 
 import numpy as np
 
-from .core import (
-    ConstantGraphon,
-    Graphon,
-    GridSpec,
-    ProductGraphon,
-    SeparablePowerGraphon,
-    StepGraphon,
-    StepProfile,
-)
+from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile
 from .games import UTILITY_FAMILIES, GraphonGame, NetworkGame, RegretReport, UtilitySpec
 
 # JSON parameter keys per utility family (code name -> file name)
@@ -79,12 +71,8 @@ def graphon_from_descriptor(d: dict) -> Graphon:
     for a uniform-block step graphon."""
     family = d["family"]
     params = d.get("params", {})
-    if family == "constant":
-        return ConstantGraphon(float(params["c"]))
-    if family == "product":
-        return ProductGraphon()
-    if family == "separable_power":
-        return SeparablePowerGraphon(float(params["alpha"]))
+    if family in SEPARABLE_FAMILIES:
+        return SEPARABLE_FAMILIES[family](**{k: float(v) for k, v in params.items()})
     if family in ("step", "block"):
         values = np.asarray(params["values"], dtype=float)
         if values.ndim == 1:

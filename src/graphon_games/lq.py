@@ -34,17 +34,17 @@ class LQParams:
     cap: float
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not (self.lam >= 0):
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.cap <= 0:
+        if not (self.cap > 0):
             raise ValueError(f"cap must be positive, got {self.cap}")
 
     def min_admissible_cap(self, sup_norm: float) -> float:
         """Smallest cap for which both sufficiency bounds hold at this lam."""
         margin = 1.0 - self.lam * sup_norm
-        if margin <= 0:
+        if not (margin > 0):
             raise ContractionError(
-                f"contraction violated: lam * ||W||_inf = {self.lam * sup_norm:.6g} >= 1"
+                f"contraction violated: lam * ||W||_inf = {self.lam * sup_norm:.6g} is not < 1"
             )
         return max(1.0 / margin, self.lam / margin + 1.0)
 

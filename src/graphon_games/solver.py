@@ -12,8 +12,8 @@ from .games import (
     BEST_RESPONSE_TOL,
     GraphonGame,
     RegretReport,
+    best_responses,
     epsilon_star,
-    golden_section_max,
     regret_profile,
 )
 
@@ -63,28 +63,13 @@ def _select(lo: np.ndarray, hi: np.ndarray, current: np.ndarray, rule: str) -> n
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
-def _response_data(game: GraphonGame, values: np.ndarray, br_tol: float):
-    """Aggregate, best-response interval, and max utility for the current profile."""
-    agg = local_aggregate(game.graphon, StepProfile(game.grid, values)).values
-    interval = game.utilities.best_response(agg, game.cap)
-    best = game.utilities.best_value(agg, game.cap)
-    if interval is None or best is None:
-        point, value = golden_section_max(
-            lambda a: game.utilities.evaluate(a, agg), 0.0, game.cap, br_tol
-        )
-        if interval is None:
-            interval = (point, point)
-        if best is None:
-            best = value
-    return agg, interval, np.asarray(best, float)
-
-
 def best_response_map(game: GraphonGame, f: StepProfile, rule: str = "nearest-point",
                       br_tol: float = BEST_RESPONSE_TOL) -> StepProfile:
     """One synchronous best response: per cell, compute the best-response set and
     select a point by the rule (nearest-point projects the current strategy
     onto the set, so fixed points are exactly the equilibria)."""
-    _, (lo, hi), _ = _response_data(game, f.values, br_tol)
+    agg = local_aggregate(game.graphon, f).values
+    (lo, hi), _ = best_responses(game.utilities, agg, game.cap, br_tol)
     return StepProfile(f.grid, _select(lo, hi, f.values, rule))
 
 
@@ -108,7 +93,9 @@ def solve(game: GraphonGame, f0: StepProfile,
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        agg, (lo, hi), best = _response_data(game, f, config.best_response_tolerance)
+        agg = local_aggregate(game.graphon, StepProfile(game.grid, f)).values
+        (lo, hi), best = best_responses(game.utilities, agg, game.cap,
+                                        config.best_response_tolerance)
         current = np.asarray(game.utilities.evaluate(f, agg), float)
         regrets = np.maximum(best - current, 0.0)
         if epsilon_star(regrets) <= config.regret_target:

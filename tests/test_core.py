@@ -1,15 +1,21 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphon_games import io
 from graphon_games.core import (
     ConstantGraphon,
     ContractionError,
+    Graphon,
     GridCompatibilityError,
     GridSpec,
     ProductGraphon,
+    SeparableGraphon,
     SeparablePowerGraphon,
     StepGraphon,
     StepProfile,
@@ -123,6 +129,20 @@ class TestGraphonFamilies:
         with pytest.raises(ValueError):
             StepGraphon(np.zeros((2, 3)))
 
+    def test_step_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepGraphon([[bad, 0.2], [0.1, 0.3]])
+
+    def test_analytic_families_are_one_separable_class(self):
+        kernels = (ConstantGraphon(0.7), ProductGraphon(), SeparablePowerGraphon(0.3))
+        assert all(type(W) is SeparableGraphon for W in kernels)
+        assert [W.family for W in kernels] == ["constant", "product", "separable_power"]
+        # equality and hashing follow the JSON description, not the factor objects
+        assert ConstantGraphon(0.7) == ConstantGraphon(0.7) != ConstantGraphon(0.6)
+        assert ProductGraphon() != ConstantGraphon(1.0)
+        assert len({SeparablePowerGraphon(0.3), SeparablePowerGraphon(0.3)}) == 1
+
 
 class TestStepApproximation:
     def test_constant_kernel(self):
@@ -163,6 +183,14 @@ class TestStepApproximation:
             step_approximation(ProductGraphon(), 0)
         with pytest.raises(ValueError):
             step_approximation(ProductGraphon(), 4, m=0)
+
+    def test_only_step_and_separable_kernels_are_discretized(self):
+        class Pointwise(Graphon):
+            def evaluate(self, t, s):
+                return np.minimum(t, s)
+
+        with pytest.raises(TypeError):
+            step_approximation(Pointwise(), 4)
 
     def test_l1_convergence_for_product_kernel(self):
         # nonincreasing L1 error along dyadic refinement, small by n = 256
@@ -290,6 +318,16 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(ConstantGraphon(0.5), 0.5, GridSpec(8), tol=0.0)
 
+    def test_non_finite_inputs_fail_closed(self):
+        # a NaN sup must not pass the contraction check as "not >= 1"
+        nan_sup = dataclasses.replace(ConstantGraphon(0.5), sup=float("nan"))
+        with pytest.raises(ContractionError):
+            resolvent(nan_sup, 0.5, GridSpec(8), tol=1e-8)
+        with pytest.raises(ValueError):
+            resolvent(ConstantGraphon(0.5), float("nan"), GridSpec(8), tol=1e-8)
+        with pytest.raises(ValueError):
+            resolvent(ConstantGraphon(0.5), 0.5, GridSpec(8), tol=float("nan"))
+
     def test_entry_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -350,3 +388,29 @@ class TestGraphonL1Distance:
         with pytest.raises(GridCompatibilityError):
             graphon_l1_distance(W1, W2)  # exact grid would need lcm = 16256 cells
         assert graphon_l1_distance(W1, W2, resolution=512) == 0.0
+
+
+separable_kernels = st.one_of(
+    st.floats(0.0, 1.0).map(ConstantGraphon),
+    st.just(ProductGraphon()),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(SeparablePowerGraphon),
+)
+
+
+class TestSeparableGraphonProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(W=separable_kernels, n=st.integers(1, 300), m=st.integers(1, 6))
+    def test_factored_average_equals_dense_midpoint_average(self, W, n, m):
+        # oracle: the m x m midpoint average of pointwise values in every cell
+        pts = (np.arange(n * m) + 0.5) / (n * m)
+        samples = np.asarray(W.evaluate(pts[:, None], pts[None, :]), dtype=float)
+        dense = samples.reshape(n, m, n, m).mean(axis=(1, 3))
+        np.testing.assert_allclose(step_approximation(W, n, m).values, dense,
+                                   rtol=0, atol=1e-14)
+
+    @given(W=separable_kernels)
+    def test_descriptor_round_trip(self, W):
+        back = io.graphon_from_descriptor(W.descriptor())
+        assert back == W
+        assert back.descriptor() == W.descriptor()
+        assert back.sup_norm() == W.sup_norm()

@@ -15,15 +15,18 @@ from graphon_games.games import (
     network_local_aggregate,
     regret_profile,
 )
+from graphon_games.solver import SolverConfig, best_response_map, solve
 
 
 def eps_star_oracle(regrets, step=1e-4):
     """Brute-force infimum over the eps grid: first eps with enough cells under it."""
-    r = np.asarray(regrets, float)
-    for eps in np.arange(0.0, max(1.0, r.max()) + 2 * step, step):
-        if np.mean(r <= eps) >= 1.0 - eps:
-            return eps
-    raise AssertionError("unreachable: eps = max regret always satisfies the condition")
+    r = np.sort(np.asarray(regrets, float))
+    grid = np.arange(0.0, max(1.0, r[-1]) + 2 * step, step)
+    # fraction of cells with regret <= eps, at every grid point at once
+    enough = np.searchsorted(r, grid, side="right") / r.size >= 1.0 - grid
+    if not enough.any():
+        raise AssertionError("unreachable: eps = max regret always satisfies the condition")
+    return grid[np.argmax(enough)]
 
 
 def random_network(rng, n=None, family="plateau_lq", cap=4.0):
@@ -103,6 +106,12 @@ class TestGameRecords:
             NetworkGame(np.array([[0.5, 1.5], [0.0, 0.0]]), util, 4.0)
         with pytest.raises(ValueError):
             NetworkGame(np.zeros((3, 3)), util, 4.0)
+
+    def test_network_game_rejects_non_finite_adjacency(self):
+        util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NetworkGame(np.array([[bad, 0.2], [0.1, 0.3]]), util, 4.0)
 
 
 class TestEmbeddings:
@@ -204,6 +213,18 @@ class TestRegretProfile:
         r2 = regret_profile(opaque, f, br_tol=1e-10)
         np.testing.assert_allclose(r2.regrets.values, r1.regrets.values, atol=1e-9)
 
+        # the solver's best response: the searched point lies in the closed-form set,
+        # up to sqrt(machine eps), since the utility meets its plateau quadratically
+        lo, hi = closed.utilities.best_response(r1.aggregate.values, closed.cap)
+        point = best_response_map(opaque, f, br_tol=1e-10).values
+        assert np.all((point >= lo - 1e-7) & (point <= hi + 1e-7))
+
+        # and solve through the search path reaches a closed-form-certified equilibrium
+        profile, trace = solve(opaque, StepProfile.constant(3.0, grid),
+                               SolverConfig(best_response_tolerance=1e-10))
+        assert trace.converged
+        assert regret_profile(closed, profile).epsilon_star <= 1e-7
+
     def test_report_carries_strategy_and_aggregate(self):
         rng = np.random.default_rng(14)
         net = random_network(rng, n=5)
@@ -230,6 +251,20 @@ class TestEpsilonStar:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             epsilon_star([0.1, -0.2])
+
+    def test_vectorized_oracle_matches_loop_oracle(self):
+        def loop_oracle(regrets, step=1e-4):
+            r = np.asarray(regrets, float)
+            for eps in np.arange(0.0, max(1.0, r.max()) + 2 * step, step):
+                if np.mean(r <= eps) >= 1.0 - eps:
+                    return eps
+
+        rng = np.random.default_rng(20)
+        cases = [[0.5, 0, 0, 0], [0.1, 0.1], [2.5, 0.0]]
+        cases += [rng.random(int(rng.integers(1, 17))) * scale for scale in (0.01, 1.0, 3.0)
+                  for _ in range(5)]
+        for r in cases:
+            assert eps_star_oracle(r) == loop_oracle(r)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(15)

@@ -51,6 +51,14 @@ class TestLQParams:
         with pytest.raises(ContractionError):
             LQParams(1.5, 4.0).validate_for_equilibrium(1.0)
 
+    def test_non_finite_inputs_fail_closed(self):
+        with pytest.raises(ContractionError):
+            LQParams(0.5, 4.0).min_admissible_cap(float("nan"))
+        with pytest.raises(ValueError):
+            LQParams(float("nan"), 4.0)
+        with pytest.raises(ValueError):
+            LQParams(0.5, float("nan"))
+
     def test_cap_bounds_reported_with_required_minimum(self):
         with pytest.raises(ValueError, match="2.5"):
             LQParams(0.6, 2.0).validate_for_equilibrium(1.0)  # needs 1/0.4 = 2.5
