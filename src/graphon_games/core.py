@@ -67,6 +67,8 @@ class StepProfile:
             raise ValueError(
                 f"profile needs {self.grid.n_cells} values, got shape {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("profile values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -89,32 +91,32 @@ class StepProfile:
         return StepProfile(GridSpec(n_cells), regrid_step_values(self.values, n_cells))
 
 
-def regrid_step_values(values: np.ndarray, n_cells: int,
-                       max_cells: int = MAX_GRID_CELLS) -> np.ndarray:
+def _common_cells(n1: int, n2: int) -> int:
+    """Size of the common refinement of an n1- and an n2-cell grid, within the cap."""
+    common = math.lcm(n1, n2)
+    if common > MAX_GRID_CELLS:
+        raise GridCompatibilityError(
+            f"grids {n1} and {n2} need {common} cells in common (cap {MAX_GRID_CELLS})"
+        )
+    return common
+
+
+def regrid_step_values(values: np.ndarray, n_cells: int) -> np.ndarray:
     """Cell averages of a step vector on a (possibly incommensurate) uniform grid."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n_cells == n:
         return values.copy()
-    common = math.lcm(n, n_cells)
-    if common > max_cells:
-        raise GridCompatibilityError(
-            f"common refinement of {n} and {n_cells} needs {common} cells (cap {max_cells})"
-        )
+    common = _common_cells(n, n_cells)
     refined = np.repeat(values, common // n)
     return refined.reshape(n_cells, common // n_cells).mean(axis=1)
 
 
-def common_grid(f: "StepProfile", g: "StepProfile",
-                max_cells: int = MAX_GRID_CELLS):
+def common_grid(f: "StepProfile", g: "StepProfile"):
     """Values of both profiles on their common refinement, plus that grid."""
     if f.grid == g.grid:
         return f.values, g.values, f.grid
-    common = math.lcm(f.grid.n_cells, g.grid.n_cells)
-    if common > max_cells:
-        raise GridCompatibilityError(
-            f"grids {f.grid.n_cells} and {g.grid.n_cells} need {common} cells (cap {max_cells})"
-        )
+    common = _common_cells(f.grid.n_cells, g.grid.n_cells)
     return (
         np.repeat(f.values, common // f.grid.n_cells),
         np.repeat(g.values, common // g.grid.n_cells),
@@ -228,6 +230,7 @@ class StepGraphon(Graphon):
             raise ValueError("step graphon entries must be finite")
         if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
             raise ValueError("step graphon entries must lie in [0, 1]")
+        vals.flags.writeable = False  # step_approximation(W, W.n) returns W itself
         object.__setattr__(self, "values", vals)
 
     @property
@@ -268,7 +271,7 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
         raise ValueError(f"need n >= 1, got {n}")
     if isinstance(W, StepGraphon):
         if W.n == n:
-            return StepGraphon(W.values)
+            return W
         weights = _overlap_weights(n, W.n)
         return StepGraphon(np.clip(weights @ W.values @ weights.T, 0.0, 1.0))
     if not isinstance(W, SeparableGraphon):
@@ -281,8 +284,7 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
     return StepGraphon(np.clip(np.outer(abar, bbar), 0.0, 1.0))
 
 
-def local_aggregate(W: Graphon, f: StepProfile, m: int = DEFAULT_QUADRATURE,
-                    max_cells: int = MAX_GRID_CELLS) -> StepProfile:
+def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
     """Cell-average quadrature of the externality integral e(t) = ∫ W(t,s) f(s) ds.
 
     For a step graphon the result is exact: both operands are refined to their
@@ -292,17 +294,13 @@ def local_aggregate(W: Graphon, f: StepProfile, m: int = DEFAULT_QUADRATURE,
     """
     n_prof = f.grid.n_cells
     if isinstance(W, StepGraphon):
-        common = math.lcm(W.n, n_prof)
-        if common > max_cells:
-            raise GridCompatibilityError(
-                f"kernel ({W.n}) and profile ({n_prof}) need {common} cells (cap {max_cells})"
-            )
+        common = _common_cells(W.n, n_prof)
         matrix = W.values
         if common != W.n:
             matrix = np.repeat(np.repeat(matrix, common // W.n, axis=0), common // W.n, axis=1)
         vals = f.values if common == n_prof else np.repeat(f.values, common // n_prof)
         return StepProfile(GridSpec(common), matrix @ vals / common)
-    wbar = step_approximation(W, n_prof, m)
+    wbar = step_approximation(W, n_prof)
     return StepProfile(f.grid, wbar.values @ f.values / n_prof)
 
 
@@ -385,8 +383,7 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float,
     return ResolventKernel(grid, gamma, lam, order, tail(order), c)
 
 
-def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None,
-                        max_cells: int = MAX_GRID_CELLS) -> float:
+def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None) -> float:
     """L1 distance ∫∫ |W1 - W2| estimated by midpoint sampling.
 
     The default sampling grid refines every step resolution involved (making the
@@ -404,12 +401,12 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None,
         resolution = base
         if analytic:
             resolution = base * math.ceil(1024 / base)
-            if resolution > max_cells:
+            if resolution > MAX_GRID_CELLS:
                 resolution = base
-        if resolution > max_cells:
+        if resolution > MAX_GRID_CELLS:
             raise GridCompatibilityError(
                 f"exact sampling of step resolutions needs {resolution} cells "
-                f"(cap {max_cells}); pass an explicit resolution to approximate"
+                f"(cap {MAX_GRID_CELLS}); pass an explicit resolution to approximate"
             )
     mids = (np.arange(resolution) + 0.5) / resolution
     diff = np.abs(

@@ -25,14 +25,19 @@ def golden_section_max(fun, lo, hi, tol: float = BEST_RESPONSE_TOL):
 
     ``fun`` maps arrays to arrays elementwise, so a whole profile of
     one-dimensional maximizations runs in lockstep.  Returns (argmax, value)
-    with the argmax located to within tol.
+    with the argmax located to within tol, or to floating-point resolution
+    when tol is finer than that (the search stops once the bracket stops
+    shrinking).
     """
+    if not (tol > 0):
+        raise ValueError(f"golden-section tolerance must be positive, got {tol}")
     a, b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = np.asarray(fun(x1), float)
     f2 = np.asarray(fun(x2), float)
-    while np.max(b - a) > tol:
+    width = np.max(b - a)
+    while width > tol:
         left = f1 >= f2
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -43,6 +48,9 @@ def golden_section_max(fun, lo, hi, tol: float = BEST_RESPONSE_TOL):
         f1 = np.where(left, fresh, carried)
         f2 = np.where(left, carried, fresh)
         x1, x2 = x1_next, x2_next
+        previous, width = width, np.max(b - a)
+        if not (width < previous):
+            break
     best = f1 >= f2
     return np.where(best, x1, x2), np.maximum(f1, f2)
 
@@ -193,8 +201,8 @@ class GraphonGame:
     grid: GridSpec
 
     def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError(f"strategy cap must be positive, got {self.cap}")
+        if not 0.0 < self.cap < np.inf:
+            raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
         if self.utilities.grid != self.grid:
             raise ValueError("utility profiles must live on the game grid")
         if isinstance(self.graphon, StepGraphon) and self.grid.n_cells % self.graphon.n:
@@ -224,8 +232,8 @@ class NetworkGame:
             raise ValueError("adjacency entries must be finite")
         if adj.min() < -1e-12 or adj.max() > 1.0 + 1e-12:
             raise ValueError("adjacency entries must lie in [0, 1] so the step embedding is a graphon")
-        if self.cap <= 0:
-            raise ValueError(f"strategy cap must be positive, got {self.cap}")
+        if not 0.0 < self.cap < np.inf:
+            raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
         if self.utilities.grid.n_cells != adj.shape[0]:
             raise ValueError("utility profiles must have one entry per player")
         object.__setattr__(self, "adjacency", adj)
@@ -302,6 +310,8 @@ def epsilon_star(regrets) -> float:
     r = np.asarray(regrets, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError(f"regrets must be a nonempty vector, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("regrets must be finite")
     if r.min() < 0:
         raise ValueError(f"negative regret {r.min()} in input")
     n = r.size

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,37 @@ class ExperimentPlan:
         if self.equilibrium_source not in ("resolvent", "solver"):
             raise ValueError(f"unknown equilibrium source {self.equilibrium_source!r}")
 
+    @cached_property
+    def reference(self) -> tuple[StepProfile, RegretReport]:
+        """The target game's equilibrium per the plan's source, certified.
+
+        Computed once per plan: the plan is frozen, and ``replace`` makes a new
+        plan that computes its own.
+        """
+        game = self.game
+        if self.equilibrium_source == "resolvent":
+            params = _plateau_params(game)
+            if self.source_profile is not None:
+                prof = self.source_profile
+                if prof.grid != game.grid:
+                    prof = prof.average_to(game.grid.n_cells)
+                g = SourceFunction(prof)
+            else:
+                g = SourceFunction.constant(self.source_value, game.grid)
+            profile = equilibrium_from_source(game.graphon, params, g, self.resolvent_tol)
+        else:
+            f0 = _initial_profile(self.solver_init, game)
+            profile, trace = solve(game, f0, self.solver)
+            if not trace.converged:
+                raise CertificationError("solver source did not converge on the target game")
+        report = regret_profile(game, profile)
+        if not (report.epsilon_star <= self.certification_tol):
+            raise CertificationError(
+                f"target equilibrium failed certification: epsilon* = "
+                f"{report.epsilon_star:.3g} > {self.certification_tol:.3g}"
+            )
+        return profile, report
+
 
 def _check_sizes(n_list, n_ref: int) -> None:
     if not n_list:
@@ -138,33 +170,6 @@ def regrid_game(game: GraphonGame, n_cells: int) -> GraphonGame:
     """The same game expressed on another uniform grid (exact for its step data)."""
     return GraphonGame(game.graphon, game.utilities.regrid(n_cells), game.cap,
                        GridSpec(n_cells))
-
-
-def _reference_equilibrium(plan: ExperimentPlan) -> tuple[StepProfile, RegretReport]:
-    """Compute and certify the target game's equilibrium per the plan's source."""
-    game = plan.game
-    if plan.equilibrium_source == "resolvent":
-        params = _plateau_params(game)
-        if plan.source_profile is not None:
-            prof = plan.source_profile
-            if prof.grid != game.grid:
-                prof = prof.average_to(game.grid.n_cells)
-            g = SourceFunction(prof)
-        else:
-            g = SourceFunction.constant(plan.source_value, game.grid)
-        profile = equilibrium_from_source(game.graphon, params, g, plan.resolvent_tol)
-    else:
-        f0 = _initial_profile(plan.solver_init, game)
-        profile, trace = solve(game, f0, plan.solver)
-        if not trace.converged:
-            raise CertificationError("solver source did not converge on the target game")
-    report = regret_profile(game, profile)
-    if report.epsilon_star > plan.certification_tol:
-        raise CertificationError(
-            f"target equilibrium failed certification: epsilon* = "
-            f"{report.epsilon_star:.3g} > {plan.certification_tol:.3g}"
-        )
-    return profile, report
 
 
 def _plateau_params(game: GraphonGame) -> LQParams:
@@ -233,7 +238,7 @@ def run_coarsened_equilibrium_experiment(plan: ExperimentPlan) -> CoarsenedResul
     """Interval-average the certified equilibrium onto each finite game and
     certify its epsilon_n there; passes when epsilon_n at the largest size is
     below the plan tolerance (the trend across sizes is also recorded)."""
-    reference, ref_report = _reference_equilibrium(plan)
+    reference, ref_report = plan.reference
     rows = []
     for net in build_network_sequence(plan.game, plan.n_list):
         s_n = approximate_profile(reference, net.n_players)
@@ -288,7 +293,7 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     """Solve each finite game of the sequence independently, check the solved
     profiles settle toward the largest game's profile (refined to the reference
     grid), and certify that limit in the target graphon game."""
-    reference, _ = _reference_equilibrium(plan)
+    reference, _ = plan.reference
     solved = []
     skipped = []
     for net in build_network_sequence(plan.game, plan.n_list):
@@ -375,9 +380,10 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
                         if plan.source_profile is not None else None),
         out_dir=None,
     )
-    primary_coarsened = run_coarsened_equilibrium_experiment(replace(plan, out_dir=None))
+    primary_plan = replace(plan, out_dir=None)
+    primary_coarsened = run_coarsened_equilibrium_experiment(primary_plan)
     alt_coarsened = run_coarsened_equilibrium_experiment(alt_plan)
-    primary_limit = run_limit_equilibrium_experiment(replace(plan, out_dir=None))
+    primary_limit = run_limit_equilibrium_experiment(primary_plan)
     alt_limit = run_limit_equilibrium_experiment(alt_plan)
     cross_l1 = profile_distance(primary_limit.limit_profile, alt_limit.limit_profile, "l1")
     passed = (

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_QUADRATURE,
     ContractionError,
     Graphon,
     GridSpec,
@@ -36,8 +35,8 @@ class LQParams:
     def __post_init__(self):
         if not (self.lam >= 0):
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not (self.cap > 0):
-            raise ValueError(f"cap must be positive, got {self.cap}")
+        if not 0.0 < self.cap < np.inf:
+            raise ValueError(f"cap must be finite and positive, got {self.cap}")
 
     def min_admissible_cap(self, sup_norm: float) -> float:
         """Smallest cap for which both sufficiency bounds hold at this lam."""
@@ -115,29 +114,32 @@ def lq_game(W: Graphon, params: LQParams, grid: GridSpec) -> GraphonGame:
 
 
 def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
-                            tol: float = 1e-8, m: int = DEFAULT_QUADRATURE) -> StepProfile:
+                            tol: float = 1e-8) -> StepProfile:
     """Equilibrium s_g = g + lam * (Gamma g) from a source g with values in [0, 1].
 
     Gamma is the truncated Neumann-series resolvent; s_g solves the second-kind
-    Fredholm equation s = lam * (K s) + g.  As a cross-check the same discretized
-    system is solved densely and the two answers must agree within 10 * tol; the
-    returned profile obeys the a priori bound 0 <= s_g <= 1/(1 - lam*||W||).
+    Fredholm equation s = lam * (K s) + g.  The answer is certified by its
+    residual r = s - lam * (K s) - g on the grid: since the grid operator K has
+    sup-norm at most ||W||_inf, ||s - s*||_inf <= ||r||_inf / (1 - lam*||W||_inf)
+    for the exact discrete solution s*, and that bound must be within 10 * tol.
+    The returned profile also obeys the a priori bound 0 <= s_g <= 1/(1 - lam*||W||).
 
     Requires lam * ||W||_inf < 1 and a cap passing both sufficiency bounds.
     """
     c = W.sup_norm()
     params.validate_for_equilibrium(c)
     grid = g.grid
-    kernel = resolvent(W, params.lam, grid, tol, m=m)
+    kernel = resolvent(W, params.lam, grid, tol)
     series = g.values + params.lam * kernel.apply(g.values).values
 
     n = grid.n_cells
-    wbar = step_approximation(W, n, m).values
-    direct = np.linalg.solve(np.eye(n) - params.lam * wbar / n, g.values)
-    gap = float(np.abs(series - direct).max())
-    if gap > 10.0 * tol:
+    wbar = step_approximation(W, n).values
+    residual = series - params.lam * (wbar @ series) / n - g.values
+    bound = float(np.abs(residual).max()) / (1.0 - params.lam * c)
+    if not (bound <= 10.0 * tol):
         raise ArithmeticError(
-            f"Neumann-series and direct solutions disagree by {gap:.3g} (> 10*tol = {10 * tol:.3g})"
+            f"Neumann-series solution misses the Fredholm equation: error bound "
+            f"{bound:.3g} from its residual (> 10*tol = {10 * tol:.3g})"
         )
 
     upper = 1.0 / (1.0 - params.lam * c)
@@ -196,8 +198,7 @@ def verify_equilibrium(W: Graphon, params: LQParams, s: StepProfile,
 
 
 def injection_check(W: Graphon, params: LQParams, g1: SourceFunction, g2: SourceFunction,
-                    tol: float = 1e-8, slack: float = 1e-6,
-                    m: int = DEFAULT_QUADRATURE) -> tuple[bool, float]:
+                    tol: float = 1e-8, slack: float = 1e-6) -> tuple[bool, float]:
     """Distinct sources generate separated equilibria; returns (passed, L1 distance).
 
     Since g = (I - lam*K) s_g and the operator I - lam*K has L1 norm at most
@@ -207,8 +208,8 @@ def injection_check(W: Graphon, params: LQParams, g1: SourceFunction, g2: Source
     """
     if g1.grid != g2.grid:
         raise ValueError("sources must share a grid")
-    s1 = equilibrium_from_source(W, params, g1, tol, m)
-    s2 = equilibrium_from_source(W, params, g2, tol, m)
+    s1 = equilibrium_from_source(W, params, g1, tol)
+    s2 = equilibrium_from_source(W, params, g2, tol)
     distance = float(np.abs(s1.values - s2.values).mean())
     source_distance = float(np.abs(g1.values - g2.values).mean())
     bound = source_distance / (1.0 + params.lam * W.sup_norm())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, StepProfile, common_grid, local_aggregate
+from .core import StepProfile, common_grid, local_aggregate
 from .games import (
     BEST_RESPONSE_TOL,
     GraphonGame,
@@ -32,7 +32,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.step_tolerance <= 0 or self.regret_target <= 0:
+        if not (self.step_tolerance > 0 and self.regret_target > 0
+                and self.best_response_tolerance > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
@@ -116,13 +117,13 @@ def solve(game: GraphonGame, f0: StepProfile,
 
 
 def profile_distance(f1: StepProfile, f2: StepProfile, mode: str = "l1",
-                     delta: float = 1e-2, max_cells: int = MAX_GRID_CELLS) -> float:
+                     delta: float = 1e-2) -> float:
     """Distance between step profiles, computed on their common refinement.
 
     Modes: "l1" is ∫|f1 - f2|; "sup" the max gap; "exceed-fraction" the measure
     of cells differing by more than delta (the a.e.-convergence surrogate).
     """
-    v1, v2, _ = common_grid(f1, f2, max_cells)
+    v1, v2, _ = common_grid(f1, f2)
     gap = np.abs(v1 - v2)
     if mode == "l1":
         return float(gap.mean())

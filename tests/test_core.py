@@ -76,6 +76,11 @@ class TestStepProfile:
         with pytest.raises(ValueError):
             StepProfile(GridSpec(3), [1.0, 2.0])
 
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepProfile(GridSpec(4), [bad, 1.0, 1.0, 1.0])
+
     def test_records_do_not_alias_caller_arrays(self):
         arr = np.array([0.1, 0.2])
         p = StepProfile(GridSpec(2), arr)
@@ -160,6 +165,13 @@ class TestStepApproximation:
         W = StepGraphon(rng.random((3, 3)))
         out = step_approximation(W, 3)
         np.testing.assert_array_equal(out.values, W.values)
+
+    def test_matching_step_graphon_is_returned_as_is(self):
+        W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])
+        assert step_approximation(W, 2) is W
+        # the shared array is read-only, so neither name can change the other
+        with pytest.raises(ValueError):
+            W.values[0, 0] = 0.75
 
     def test_step_refinement_and_coarsening_exact(self):
         W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])

@@ -79,12 +79,41 @@ class TestUtilityFamilies:
                 "delta": StepProfile.constant(0.5, GridSpec(3)),
             })
 
+    def test_plateau_rejects_non_finite_lambda(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PlateauUtility.from_values(GridSpec(2), lam=bad)
+
     def test_golden_section_matches_quadratic_argmax(self):
         rng = np.random.default_rng(11)
         target = rng.uniform(0.5, 3.5, 50)
         x, val = golden_section_max(lambda a: -0.5 * (a - target) ** 2, 0.0, 4.0, tol=1e-10)
         np.testing.assert_allclose(x, target, atol=1e-8)
         assert np.all(val >= -1e-15)
+
+
+class TestGoldenSectionMax:
+    @staticmethod
+    def limited(fun, calls=1000):
+        """fun, raising after `calls` evaluations so a search that never stops fails."""
+        count = [0]
+
+        def wrapped(a):
+            count[0] += 1
+            if count[0] > calls:
+                raise AssertionError(f"objective called more than {calls} times")
+            return fun(a)
+        return wrapped
+
+    def test_tolerance_below_float_resolution_still_returns(self):
+        for tol in (1e-17, 1e-300):
+            x, _ = golden_section_max(self.limited(lambda a: -(a - 1.3) ** 2), 0.0, 4.0, tol)
+            assert abs(float(x) - 1.3) <= 1e-7
+
+    def test_non_positive_tolerance_rejected(self):
+        for tol in (0.0, -1e-3, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                golden_section_max(self.limited(lambda a: -(a - 1.3) ** 2), 0.0, 4.0, tol)
 
 
 class TestGameRecords:
@@ -106,6 +135,15 @@ class TestGameRecords:
             NetworkGame(np.array([[0.5, 1.5], [0.0, 0.0]]), util, 4.0)
         with pytest.raises(ValueError):
             NetworkGame(np.zeros((3, 3)), util, 4.0)
+
+    def test_cap_must_be_finite_and_positive(self):
+        grid = GridSpec(2)
+        util = PlateauUtility.from_values(grid, lam=0.5)
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="cap"):
+                GraphonGame(ConstantGraphon(0.5), util, bad, grid)
+            with pytest.raises(ValueError, match="cap"):
+                NetworkGame(np.zeros((2, 2)), util, bad)
 
     def test_network_game_rejects_non_finite_adjacency(self):
         util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
@@ -251,6 +289,12 @@ class TestEpsilonStar:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             epsilon_star([0.1, -0.2])
+
+    def test_non_finite_rejected(self):
+        # a NaN epsilon* would pass every "epsilon* > tolerance" failure test
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                epsilon_star([bad, 0.1])
 
     def test_vectorized_oracle_matches_loop_oracle(self):
         def loop_oracle(regrets, step=1e-4):

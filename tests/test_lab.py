@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from graphon_games import lab
 from graphon_games.core import (
     ConstantGraphon,
     GridCompatibilityError,
@@ -230,10 +231,26 @@ class TestCharacterizationSuite:
         assert report.passed
         assert report.cross_l1 <= plan.cross_l1_tolerance
         for name in ("primary_coarsened.csv", "alt_coarsened.csv",
-                     "primary_limit.csv", "alt_limit.csv", "primary_limit_profile.csv"):
+                     "primary_limit.csv", "alt_limit.csv", "primary_limit_profile.csv",
+                     "alt_limit_profile.csv"):
             assert (tmp_path / name).exists()
         summary = report.summary()
         assert summary["passed"] and summary["experiment"] == "characterization"
+
+    def test_reference_equilibrium_solved_once_per_sequence(self, monkeypatch):
+        # both experiments on one sequence share that sequence's plan, so the
+        # suite makes one reference solve for the primary and one for the alternate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].grid.n_cells)
+            return equilibrium_from_source(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "equilibrium_from_source", counting)
+        plan = ExperimentPlan(reference_game(48), n_list=(6, 12, 24, 48),
+                              alt_n_list=(6, 12, 18, 36), alt_grid=36)
+        assert run_characterization_suite(plan).passed
+        assert sorted(calls) == [36, 48]
 
     def test_distinct_sources_give_distinct_certified_equilibria(self):
         game = reference_game(48)

@@ -1,6 +1,12 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphon_games import lq
 from graphon_games.core import (
     ConstantGraphon,
     ContractionError,
@@ -9,6 +15,8 @@ from graphon_games.core import (
     StepGraphon,
     StepProfile,
     local_aggregate,
+    resolvent,
+    step_approximation,
 )
 from graphon_games.games import golden_section_max
 from graphon_games.lq import (
@@ -58,6 +66,8 @@ class TestLQParams:
             LQParams(float("nan"), 4.0)
         with pytest.raises(ValueError):
             LQParams(0.5, float("nan"))
+        with pytest.raises(ValueError):
+            LQParams(0.5, float("inf"))
 
     def test_cap_bounds_reported_with_required_minimum(self):
         with pytest.raises(ValueError, match="2.5"):
@@ -167,6 +177,51 @@ class TestEquilibriumFromSource:
             assert residual <= 10 * tol
             assert s.values.max() <= 1.0 / (1.0 - params.lam * W.sup_norm()) + 10 * tol
             assert s.values.min() >= -10 * tol
+
+
+    def test_nan_source_value_rejected(self):
+        # a NaN source used to give four NaN "equilibrium" values
+        with pytest.raises(ValueError, match="finite"):
+            SourceFunction(StepProfile(GridSpec(4), [np.nan, 1.0, 1.0, 1.0]))
+
+    def test_truncated_resolvent_fails_the_residual_certificate(self, monkeypatch):
+        # Gamma cut to its first term W_1 misses the Fredholm equation by about
+        # lam^2 * c^2, far above 10 * tol
+        def first_term_only(W, lam, grid, tol, m=4):
+            full = resolvent(W, lam, grid, tol, m)
+            return dataclasses.replace(full, gamma=step_approximation(W, grid.n_cells, m).values)
+
+        monkeypatch.setattr(lq, "resolvent", first_term_only)
+        with pytest.raises(ArithmeticError, match="residual"):
+            equilibrium_from_source(ConstantGraphon(0.5), LQParams(0.5, 4.0),
+                                    SourceFunction.constant(1.0, GridSpec(16)))
+
+    def test_nan_residual_fails_closed(self, monkeypatch):
+        # a NaN answer passes every "<" range check; the certificate must catch it
+        class NanKernel:
+            def apply(self, f):
+                return SimpleNamespace(values=np.full(np.shape(f), np.nan))
+
+        monkeypatch.setattr(lq, "resolvent", lambda *args, **kwargs: NanKernel())
+        with pytest.raises(ArithmeticError, match="residual"):
+            equilibrium_from_source(ConstantGraphon(0.5), LQParams(0.5, 4.0),
+                                    SourceFunction.constant(1.0, GridSpec(16)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+           tight=st.floats(0.05, 0.95), log_tol=st.floats(-12.0, -4.0))
+    def test_agrees_with_a_dense_solve(self, n, seed, tight, log_tol):
+        # oracle: the discretized system (I - lam * W / n) s = g solved densely
+        rng = np.random.default_rng(seed)
+        W = StepGraphon(rng.random((n, n)))
+        sup = W.sup_norm()
+        lam = tight / sup if sup > 0 else tight
+        params = LQParams(lam, LQParams(lam, 1.0).min_admissible_cap(sup) + 1.0)
+        g = SourceFunction(StepProfile(GridSpec(n), rng.random(n)))
+        tol = 10.0 ** log_tol
+        s = equilibrium_from_source(W, params, g, tol)
+        direct = np.linalg.solve(np.eye(n) - lam * W.values / n, g.values)
+        assert np.abs(s.values - direct).max() <= 10.0 * tol
 
 
 class TestVerifyEquilibrium:

@@ -46,6 +46,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(step_tolerance=0.0)
 
+    def test_tolerances_fail_closed(self):
+        # a zero best-response tolerance would make golden-section search spin;
+        # NaN compares false against every bound
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(best_response_tolerance=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(step_tolerance=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(regret_target=bad)
+
 
 class TestBestResponseMap:
     def test_nearest_point_keeps_strategy_inside_the_plateau(self):
