@@ -274,14 +274,20 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
             return W
         weights = _overlap_weights(n, W.n)
         return StepGraphon(np.clip(weights @ W.values @ weights.T, 0.0, 1.0))
+    abar, bbar = _factor_averages(W, n, m)
+    return StepGraphon(np.clip(np.outer(abar, bbar), 0.0, 1.0))
+
+
+def _factor_averages(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE):
+    """m-point midpoint cell averages (ā, b̄) of the factors a and b on the n-grid."""
     if not isinstance(W, SeparableGraphon):
-        raise TypeError(f"no step approximation for {type(W).__name__}")
+        raise TypeError(f"{type(W).__name__} is neither a step nor a separable kernel")
     if m < 1:
         raise ValueError(f"need m >= 1 sub-samples, got {m}")
     pts = (np.arange(n * m) + 0.5) / (n * m)
     abar = np.asarray(W.a(pts), dtype=float).reshape(n, m).mean(axis=1)
     bbar = np.asarray(W.b(pts), dtype=float).reshape(n, m).mean(axis=1)
-    return StepGraphon(np.clip(np.outer(abar, bbar), 0.0, 1.0))
+    return abar, bbar
 
 
 def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
@@ -289,8 +295,9 @@ def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
 
     For a step graphon the result is exact: both operands are refined to their
     common grid (identity when the kernel resolution divides the profile's) and
-    e = (V @ f) / N there.  Analytic kernels are first step-approximated at the
-    profile's resolution.
+    e = (V @ f) / N there.  A separable kernel a(t)b(s) uses the factor averages
+    of its step approximation at the profile's resolution, e = ā (b̄ · f) / N,
+    so no N x N matrix is formed.
     """
     n_prof = f.grid.n_cells
     if isinstance(W, StepGraphon):
@@ -300,8 +307,8 @@ def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
             matrix = np.repeat(np.repeat(matrix, common // W.n, axis=0), common // W.n, axis=1)
         vals = f.values if common == n_prof else np.repeat(f.values, common // n_prof)
         return StepProfile(GridSpec(common), matrix @ vals / common)
-    wbar = step_approximation(W, n_prof)
-    return StepProfile(f.grid, wbar.values @ f.values / n_prof)
+    abar, bbar = _factor_averages(W, n_prof)
+    return StepProfile(f.grid, abar * (bbar @ f.values) / n_prof)
 
 
 def iterated_kernel(W: Graphon, n: int, grid: GridSpec,

@@ -380,7 +380,7 @@ def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretRe
 
 def is_epsilon_nash(game, profile, eps: float, br_tol: float = BEST_RESPONSE_TOL) -> bool:
     """True iff the fraction of agents with regret <= eps is at least 1 - eps."""
-    if eps < 0:
+    if not (eps >= 0):
         raise ValueError(f"eps must be nonnegative, got {eps}")
     report = regret_profile(game, profile, br_tol)
     return bool(np.mean(report.regrets.values <= eps) >= 1.0 - eps)

@@ -3,6 +3,7 @@ game descriptors, and report tables."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 
@@ -72,7 +73,13 @@ def graphon_from_descriptor(d: dict) -> Graphon:
     family = d["family"]
     params = d.get("params", {})
     if family in SEPARABLE_FAMILIES:
-        return SEPARABLE_FAMILIES[family](**{k: float(v) for k, v in params.items()})
+        make = SEPARABLE_FAMILIES[family]
+        expected = sorted(inspect.signature(make).parameters)
+        if sorted(params) != expected:
+            raise ValueError(
+                f"graphon family {family!r} needs parameters {expected}, got {sorted(params)}"
+            )
+        return make(**{k: float(v) for k, v in params.items()})
     if family in ("step", "block"):
         values = np.asarray(params["values"], dtype=float)
         if values.ndim == 1:

@@ -129,7 +129,9 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
     c = W.sup_norm()
     params.validate_for_equilibrium(c)
     grid = g.grid
-    kernel = resolvent(W, params.lam, grid, tol)
+    # s misses s* by lam * (Gamma tail) * ||g||_inf with ||g||_inf <= 1, so for
+    # lam > 1 the kernel tail must be within tol / lam for the certificate to hold
+    kernel = resolvent(W, params.lam, grid, tol / max(1.0, params.lam))
     series = g.values + params.lam * kernel.apply(g.values).values
 
     n = grid.n_cells

@@ -203,6 +203,8 @@ class TestStepApproximation:
 
         with pytest.raises(TypeError):
             step_approximation(Pointwise(), 4)
+        with pytest.raises(TypeError):
+            local_aggregate(Pointwise(), StepProfile.constant(1.0, GridSpec(4)))
 
     def test_l1_convergence_for_product_kernel(self):
         # nonincreasing L1 error along dyadic refinement, small by n = 256
@@ -419,6 +421,16 @@ class TestSeparableGraphonProperties:
         dense = samples.reshape(n, m, n, m).mean(axis=(1, 3))
         np.testing.assert_allclose(step_approximation(W, n, m).values, dense,
                                    rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(W=separable_kernels, n=st.integers(1, 300), data=st.data())
+    def test_factored_aggregate_equals_dense_step_product(self, W, n, data):
+        # oracle: the dense N x N step approximation applied to f
+        f = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+        dense = step_approximation(W, n).values @ f / n
+        # atol only absorbs underflow of products of subnormal factors
+        np.testing.assert_allclose(local_aggregate(W, StepProfile(GridSpec(n), f)).values,
+                                   dense, rtol=1e-12, atol=1e-300)
 
     @given(W=separable_kernels)
     def test_descriptor_round_trip(self, W):

@@ -15,6 +15,7 @@ from graphon_games.games import (
     network_local_aggregate,
     regret_profile,
 )
+from graphon_games.lq import LQParams, lq_game
 from graphon_games.solver import SolverConfig, best_response_map, solve
 
 
@@ -378,6 +379,15 @@ class TestIsEpsilonNash:
         game, f = self.game_with_regrets()
         with pytest.raises(ValueError):
             is_epsilon_nash(game, f, -0.1)
+
+    def test_nan_eps_fails_closed(self):
+        # the profile ≡ 1 is an exact equilibrium of this game (regret 0 everywhere)
+        grid = GridSpec(4)
+        game = lq_game(ConstantGraphon(0.5), LQParams(0.5, 4.0), grid)
+        f = StepProfile.constant(1.0, grid)
+        assert is_epsilon_nash(game, f, 0.0)
+        with pytest.raises(ValueError):
+            is_epsilon_nash(game, f, float("nan"))
 
 
 class TestEmbeddingExactness:

@@ -81,6 +81,14 @@ class TestGraphonDescriptors:
         with pytest.raises(ValueError):
             io.graphon_from_descriptor({"family": "mystery", "params": {}})
 
+    def test_unknown_analytic_parameter(self):
+        with pytest.raises(ValueError, match=r"'constant' needs parameters \['c'\]"):
+            io.graphon_from_descriptor({"family": "constant", "params": {"alpha": 0.5}})
+
+    def test_missing_analytic_parameter(self):
+        with pytest.raises(ValueError, match=r"'separable_power' needs parameters \['alpha'\]"):
+            io.graphon_from_descriptor({"family": "separable_power", "params": {}})
+
 
 class TestUtilityDescriptors:
     def test_scalar_lambda_round_trip(self):

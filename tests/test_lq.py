@@ -207,6 +207,15 @@ class TestEquilibriumFromSource:
             equilibrium_from_source(ConstantGraphon(0.5), LQParams(0.5, 4.0),
                                     SourceFunction.constant(1.0, GridSpec(16)))
 
+    def test_large_lambda_meets_its_certificate(self):
+        # lam = 25 on a sparse kernel: a kernel tail of tol alone gives an error
+        # of lam * tail * g, over 10 * tol
+        W = StepGraphon([[0.02]])
+        params = LQParams(25.0, LQParams(25.0, 1.0).min_admissible_cap(0.02) + 1.0)
+        g = SourceFunction(StepProfile(GridSpec(1), [0.7]))
+        s = equilibrium_from_source(W, params, g, 1e-4)
+        np.testing.assert_allclose(s.values, 0.7 / (1.0 - 25.0 * 0.02), rtol=0, atol=1e-4)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
            tight=st.floats(0.05, 0.95), log_tol=st.floats(-12.0, -4.0))

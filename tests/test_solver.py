@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphon_games import core
 from graphon_games.core import (
     ConstantGraphon,
     GridCompatibilityError,
@@ -128,6 +129,24 @@ class TestSolve:
         ref = equilibrium_from_source(SeparablePowerGraphon(0.5), params,
                                       SourceFunction.constant(1.0, grid))
         assert np.abs(prof.values - ref.values).max() <= 1e-3
+
+    def test_separable_kernel_is_never_discretized(self, monkeypatch):
+        # the rank-1 aggregate comes from the factor averages, never the N x N matrix
+        calls = []
+        real = core.step_approximation
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "step_approximation", counting)
+        grid = GridSpec(64)
+        game = lq_game(SeparablePowerGraphon(0.5), LQParams(0.5, 4.0), grid)
+        prof, trace = solve(game, StepProfile.constant(4.0, grid))
+        best_response_map(game, prof)
+        regret_profile(game, prof)
+        assert trace.converged and trace.iterations > 1
+        assert calls == []
 
     def test_undamped_static_game_converges_in_two_iterations(self):
         grid = GridSpec(8)
