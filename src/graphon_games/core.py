@@ -248,6 +248,15 @@ class StepGraphon(Graphon):
         return {"family": "step", "params": {"n": self.n, "values": self.values.tolist()}}
 
 
+def check_step_resolution(W: Graphon, grid: GridSpec) -> None:
+    """Reject a step kernel whose resolution does not divide the grid, so that its
+    local aggregates of profiles on the grid land on that grid."""
+    if isinstance(W, StepGraphon) and grid.n_cells % W.n:
+        raise ValueError(
+            f"step graphon resolution {W.n} must divide the game grid {grid.n_cells}"
+        )
+
+
 def _overlap_weights(n: int, p: int) -> np.ndarray:
     """weights[i, a] = n * |cell_i^(n) ∩ cell_a^(p)|, computed on the integer lcm grid."""
     common = math.lcm(n, p)
@@ -416,8 +425,21 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
                 f"(cap {MAX_GRID_CELLS}); pass an explicit resolution to approximate"
             )
     mids = (np.arange(resolution) + 0.5) / resolution
-    diff = np.abs(
-        np.asarray(W1.evaluate(mids[:, None], mids[None, :]), dtype=float)
-        - np.asarray(W2.evaluate(mids[:, None], mids[None, :]), dtype=float)
-    )
+    diff = np.abs(_midpoint_samples(W1, mids) - _midpoint_samples(W2, mids))
     return float(diff.mean())
+
+
+def _midpoint_samples(W: Graphon, mids: np.ndarray) -> np.ndarray:
+    """W(mids[i], mids[j]) for all i, j, without gathering points where W factors.
+
+    A step kernel whose resolution divides the sampling grid has its entries
+    repeated along both axes, and a separable kernel is the outer product of its
+    factor samples; both equal ``evaluate`` on the broadcast grid bit for bit.
+    """
+    if isinstance(W, StepGraphon) and mids.size % W.n == 0:
+        k = mids.size // W.n
+        return np.repeat(np.repeat(W.values, k, axis=0), k, axis=1)
+    if isinstance(W, SeparableGraphon):
+        return np.outer(np.asarray(W.a(mids), dtype=float),
+                        np.asarray(W.b(mids), dtype=float))
+    return np.asarray(W.evaluate(mids[:, None], mids[None, :]), dtype=float)

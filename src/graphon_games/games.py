@@ -12,6 +12,7 @@ from .core import (
     StepProfile,
     Graphon,
     StepGraphon,
+    check_step_resolution,
     local_aggregate,
 )
 
@@ -205,11 +206,7 @@ class GraphonGame:
             raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
         if self.utilities.grid != self.grid:
             raise ValueError("utility profiles must live on the game grid")
-        if isinstance(self.graphon, StepGraphon) and self.grid.n_cells % self.graphon.n:
-            raise ValueError(
-                f"step graphon resolution {self.graphon.n} must divide the game grid "
-                f"{self.grid.n_cells}"
-            )
+        check_step_resolution(self.graphon, self.grid)
 
     @property
     def strategy_interval(self) -> tuple[float, float]:

@@ -238,14 +238,25 @@ def run_coarsened_equilibrium_experiment(plan: ExperimentPlan) -> CoarsenedResul
     """Interval-average the certified equilibrium onto each finite game and
     certify its epsilon_n there; passes when epsilon_n at the largest size is
     below the plan tolerance (the trend across sizes is also recorded)."""
-    reference, ref_report = plan.reference
+    result = _coarsened(plan, plan.reference)
+    if plan.out_dir:
+        _write_rows(plan.out_dir, "coarsened_equilibrium.csv", result.rows)
+        io.save_profile_csv(
+            os.path.join(plan.out_dir, "reference_profile.csv"), result.reference
+        )
+    return result
+
+
+def _coarsened(plan: ExperimentPlan,
+               certified: tuple[StepProfile, RegretReport]) -> CoarsenedResult:
+    reference, ref_report = certified
     rows = []
     for net in build_network_sequence(plan.game, plan.n_list):
         s_n = approximate_profile(reference, net.n_players)
         eps_n = regret_profile(net, s_n).epsilon_star
         rows.append(_row(plan, net, embed_strategy(s_n), reference, eps_n))
     eps_last = rows[-1].epsilon_n
-    result = CoarsenedResult(
+    return CoarsenedResult(
         rows=rows,
         reference=reference,
         reference_epsilon=ref_report.epsilon_star,
@@ -254,12 +265,6 @@ def run_coarsened_equilibrium_experiment(plan: ExperimentPlan) -> CoarsenedResul
         trend_ok=rows[0].epsilon_n >= eps_last,
         passed=eps_last <= plan.eps_tolerance,
     )
-    if plan.out_dir:
-        _write_rows(plan.out_dir, "coarsened_equilibrium.csv", rows)
-        io.save_profile_csv(
-            os.path.join(plan.out_dir, "reference_profile.csv"), reference
-        )
-    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +298,15 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     """Solve each finite game of the sequence independently, check the solved
     profiles settle toward the largest game's profile (refined to the reference
     grid), and certify that limit in the target graphon game."""
-    reference, _ = plan.reference
+    result = _limit(plan, plan.reference[0])
+    if plan.out_dir:
+        _write_rows(plan.out_dir, "limit_equilibrium.csv", result.rows)
+        io.save_profile_csv(os.path.join(plan.out_dir, "limit_profile.csv"),
+                            result.limit_profile)
+    return result
+
+
+def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
     solved = []
     skipped = []
     for net in build_network_sequence(plan.game, plan.n_list):
@@ -316,7 +329,7 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     converging = _nonincreasing(d_l1) and _nonincreasing(d_exceed)
     target_report = regret_profile(plan.game, limit)
     l1_ref = profile_distance(limit, reference, "l1")
-    result = LimitResult(
+    return LimitResult(
         rows=rows,
         skipped=skipped,
         limit_profile=limit,
@@ -329,10 +342,6 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
         eps_tolerance=plan.limit_eps_tolerance,
         passed=converging and target_report.epsilon_star <= plan.limit_eps_tolerance,
     )
-    if plan.out_dir:
-        _write_rows(plan.out_dir, "limit_equilibrium.csv", rows)
-        io.save_profile_csv(os.path.join(plan.out_dir, "limit_profile.csv"), limit)
-    return result
 
 
 def _nonincreasing(seq, slack: float = 1e-12) -> bool:
@@ -369,22 +378,28 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
     plan's alt sizes on a re-gridded copy of the game (so incommensurate sizes,
     e.g. multiples of 3, still average exactly).  Coarsened equilibria must pass
     on both sequences, each sequence's independently solved limit must certify
-    in the target game, and the two limits must agree in L1.
+    in the target game, and the two limits must agree in L1.  When the alt grid
+    is the game grid, re-gridding is the identity, so the alternate sequence
+    shares the target game and its certified reference (one reference solve).
     """
     _check_sizes(plan.alt_n_list, plan.alt_grid)
-    alt_plan = replace(
-        plan,
-        game=regrid_game(plan.game, plan.alt_grid),
-        n_list=plan.alt_n_list,
-        source_profile=(plan.source_profile.average_to(plan.alt_grid)
-                        if plan.source_profile is not None else None),
-        out_dir=None,
-    )
-    primary_plan = replace(plan, out_dir=None)
-    primary_coarsened = run_coarsened_equilibrium_experiment(primary_plan)
-    alt_coarsened = run_coarsened_equilibrium_experiment(alt_plan)
-    primary_limit = run_limit_equilibrium_experiment(primary_plan)
-    alt_limit = run_limit_equilibrium_experiment(alt_plan)
+    reference = plan.reference
+    if plan.alt_grid == plan.game.grid.n_cells:
+        alt_plan = replace(plan, n_list=plan.alt_n_list)
+        alt_reference = reference
+    else:
+        alt_plan = replace(
+            plan,
+            game=regrid_game(plan.game, plan.alt_grid),
+            n_list=plan.alt_n_list,
+            source_profile=(plan.source_profile.average_to(plan.alt_grid)
+                            if plan.source_profile is not None else None),
+        )
+        alt_reference = alt_plan.reference
+    primary_coarsened = _coarsened(plan, reference)
+    alt_coarsened = _coarsened(alt_plan, alt_reference)
+    primary_limit = _limit(plan, reference[0])
+    alt_limit = _limit(alt_plan, alt_reference[0])
     cross_l1 = profile_distance(primary_limit.limit_profile, alt_limit.limit_profile, "l1")
     passed = (
         primary_coarsened.passed and alt_coarsened.passed

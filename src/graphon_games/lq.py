@@ -13,8 +13,9 @@ from .core import (
     Graphon,
     GridSpec,
     StepProfile,
+    check_step_resolution,
+    local_aggregate,
     resolvent,
-    step_approximation,
 )
 from .games import (
     BEST_RESPONSE_TOL,
@@ -124,19 +125,22 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
     for the exact discrete solution s*, and that bound must be within 10 * tol.
     The returned profile also obeys the a priori bound 0 <= s_g <= 1/(1 - lam*||W||).
 
-    Requires lam * ||W||_inf < 1 and a cap passing both sufficiency bounds.
+    Requires lam * ||W||_inf < 1, a cap passing both sufficiency bounds, and a
+    step kernel's resolution to divide the grid of g (as a game on that grid does).
     """
+    grid = g.grid
+    check_step_resolution(W, grid)  # so K s lands on the grid of s
     c = W.sup_norm()
     params.validate_for_equilibrium(c)
-    grid = g.grid
     # s misses s* by lam * (Gamma tail) * ||g||_inf with ||g||_inf <= 1, so for
     # lam > 1 the kernel tail must be within tol / lam for the certificate to hold
     kernel = resolvent(W, params.lam, grid, tol / max(1.0, params.lam))
     series = g.values + params.lam * kernel.apply(g.values).values
+    if not np.isfinite(series).all():
+        raise ArithmeticError("Neumann-series solution is not finite: it has no residual bound")
 
-    n = grid.n_cells
-    wbar = step_approximation(W, n).values
-    residual = series - params.lam * (wbar @ series) / n - g.values
+    profile = StepProfile(grid, series)
+    residual = series - params.lam * local_aggregate(W, profile).values - g.values
     bound = float(np.abs(residual).max()) / (1.0 - params.lam * c)
     if not (bound <= 10.0 * tol):
         raise ArithmeticError(
@@ -150,7 +154,7 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
             f"solution leaves the a priori range [0, {upper:.6g}]: "
             f"min {series.min():.6g}, max {series.max():.6g}"
         )
-    return StepProfile(grid, series)
+    return profile
 
 
 @dataclass(frozen=True, eq=False)

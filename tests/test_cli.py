@@ -51,6 +51,18 @@ class TestLQSolveCommand:
         assert io.load_profile_csv(out).grid.n_cells == 32
 
 
+    def test_incommensurate_step_grid_writes_nothing(self, workspace):
+        io.save_json(workspace / "step3.json",
+                     {"family": "step", "params": {"n": 3, "values": [[0.5] * 3] * 3}})
+        out = workspace / "s4.csv"
+        with pytest.raises(ValueError, match="must divide the game grid"):
+            main([
+                "lq", "solve", "--graphon", str(workspace / "step3.json"),
+                "--lambda", "0.5", "--L", "4.0", "--n", "4", "--out", str(out),
+            ])
+        assert not out.exists()
+
+
 class TestLQVerifyCommand:
     def test_certifies_constructed_equilibrium(self, workspace, capsys):
         out = workspace / "s.csv"

@@ -411,6 +411,42 @@ separable_kernels = st.one_of(
 )
 
 
+class TestGraphonL1Sampling:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=st.sampled_from(["step/step", "step/separable", "separable/separable"]),
+           multiple=st.integers(1, 3), off_grid=st.booleans(), data=st.data())
+    def test_equals_pointwise_evaluation(self, pair, multiple, off_grid, data):
+        # oracle: both kernels evaluated on the broadcast midpoint grid; off_grid
+        # adds one cell, which no step size >= 2 divides (the evaluate fallback)
+        kernels = []
+        for kind in pair.split("/"):
+            if kind == "step":
+                n = data.draw(st.integers(2, 12), label="n")
+                seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+                kernels.append(StepGraphon(np.random.default_rng(seed).random((n, n))))
+            else:
+                kernels.append(data.draw(separable_kernels, label="separable"))
+        W1, W2 = kernels
+        steps = [W.n for W in kernels if isinstance(W, StepGraphon)]
+        resolution = math.lcm(1, *steps) * multiple + int(off_grid)
+        mids = (np.arange(resolution) + 0.5) / resolution
+        t, s = mids[:, None], mids[None, :]
+        expected = float(np.abs(np.asarray(W1.evaluate(t, s), dtype=float)
+                                - np.asarray(W2.evaluate(t, s), dtype=float)).mean())
+        assert graphon_l1_distance(W1, W2, resolution=resolution) == expected
+
+    def test_factored_kernels_are_not_evaluated_pointwise(self, monkeypatch):
+        def no_gather(self, t, s):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(StepGraphon, "evaluate", no_gather)
+        monkeypatch.setattr(SeparableGraphon, "evaluate", no_gather)
+        W = StepGraphon(np.eye(4))
+        assert graphon_l1_distance(W, ProductGraphon(), resolution=16) > 0
+        with pytest.raises(AssertionError):  # 4 does not divide 10
+            graphon_l1_distance(W, ProductGraphon(), resolution=10)
+
+
 class TestSeparableGraphonProperties:
     @settings(max_examples=60, deadline=None)
     @given(W=separable_kernels, n=st.integers(1, 300), m=st.integers(1, 6))

@@ -28,7 +28,7 @@ from graphon_games.lab import (
     run_plan,
 )
 from graphon_games.lq import LQParams, SourceFunction, equilibrium_from_source, lq_game
-from graphon_games.solver import SolverConfig, profile_distance
+from graphon_games.solver import SolverConfig, profile_distance, solve
 
 
 def reference_game(n_ref=48, lam=0.5, cap=4.0, alpha=0.5):
@@ -251,6 +251,35 @@ class TestCharacterizationSuite:
                               alt_n_list=(6, 12, 18, 36), alt_grid=36)
         assert run_characterization_suite(plan).passed
         assert sorted(calls) == [36, 48]
+
+    def test_same_grid_alternate_shares_the_reference(self, monkeypatch):
+        # re-gridding onto the game grid is the identity, so one solve serves both
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].grid.n_cells)
+            return equilibrium_from_source(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "equilibrium_from_source", counting)
+        plan = ExperimentPlan(reference_game(48), n_list=(6, 12, 24, 48),
+                              alt_n_list=(12, 24, 48), alt_grid=48)
+        assert run_characterization_suite(plan).passed
+        assert calls == [48]
+
+    def test_same_grid_solver_source_solves_the_target_once(self, monkeypatch):
+        target_calls = []
+
+        def counting(game, f0, config):
+            if game.graphon is plan.game.graphon:  # not an embedded network game
+                target_calls.append(game.grid.n_cells)
+            return solve(game, f0, config)
+
+        monkeypatch.setattr(lab, "solve", counting)
+        plan = ExperimentPlan(reference_game(48), n_list=(6, 12, 24, 48),
+                              equilibrium_source="solver",
+                              alt_n_list=(12, 24, 48), alt_grid=48)
+        assert run_characterization_suite(plan).passed
+        assert target_calls == [48]
 
     def test_distinct_sources_give_distinct_certified_equilibria(self):
         game = reference_game(48)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_games import lq
+from graphon_games import core, lq
 from graphon_games.core import (
     ConstantGraphon,
     ContractionError,
@@ -206,6 +206,26 @@ class TestEquilibriumFromSource:
         with pytest.raises(ArithmeticError, match="residual"):
             equilibrium_from_source(ConstantGraphon(0.5), LQParams(0.5, 4.0),
                                     SourceFunction.constant(1.0, GridSpec(16)))
+
+    def test_step_resolution_must_divide_the_grid(self):
+        # a 3-step kernel has no local aggregate on a 4-cell grid, as in a game
+        W = StepGraphon(np.full((3, 3), 0.5))
+        with pytest.raises(ValueError, match="resolution 3 must divide the game grid 4"):
+            equilibrium_from_source(W, LQParams(0.5, 4.0), SourceFunction.constant(1.0, GridSpec(4)))
+
+    def test_kernel_discretized_once(self, monkeypatch):
+        # the resolvent discretizes the kernel; the residual certificate does not
+        calls = []
+
+        def counting(W, n, m=4):
+            calls.append(n)
+            return step_approximation(W, n, m)
+
+        monkeypatch.setattr(core, "step_approximation", counting)
+        monkeypatch.setattr(lq, "step_approximation", counting, raising=False)
+        equilibrium_from_source(SeparablePowerGraphon(0.5), LQParams(0.5, 4.0),
+                                SourceFunction.constant(1.0, GridSpec(64)))
+        assert calls == [64]
 
     def test_large_lambda_meets_its_certificate(self):
         # lam = 25 on a sparse kernel: a kernel tail of tol alone gives an error
