@@ -2,7 +2,9 @@
 
 Subcommands: ``lq solve`` / ``lq verify`` for the plateau game, ``solve`` for
 the generic best-response solver, and ``lab run`` for the convergence
-experiments.  ``lab run`` exits nonzero iff any plan threshold fails.
+experiments.  Exit codes: 0 on success, 1 if not certified or a plan threshold
+fails, 2 on an input error (reported by ``main`` as one stderr line), 3 if
+``solve`` does not converge.
 """
 
 from __future__ import annotations
@@ -12,13 +14,10 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import io, lab
 from .core import GridSpec
-from .games import PlateauUtility
-from .lq import LQParams, SourceFunction, equilibrium_from_source, verify_equilibrium
-from .solver import SolverConfig, solve
+from .lq import LQParams, SourceFunction, equilibrium_from_source, plateau_params, verify_equilibrium
+from .solver import solve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,22 +78,9 @@ def _cmd_lq_solve(args) -> int:
 
 def _cmd_lq_verify(args) -> int:
     game = io.game_from_descriptor(io.load_json(args.game))
-    if not isinstance(game.utilities, PlateauUtility):
-        print("lq verify needs a plateau_lq utility", file=sys.stderr)
-        return 2
-    lam = game.utilities.lam
-    if np.ptp(lam) != 0:
-        print("lq verify needs a uniform lambda", file=sys.stderr)
-        return 2
-    profile = io.load_profile_csv(args.profile)
-    if profile.grid != game.grid:
-        print(
-            f"profile has {profile.grid.n_cells} cells but the game grid has "
-            f"{game.grid.n_cells}", file=sys.stderr,
-        )
-        return 2
-    cert = verify_equilibrium(game.graphon, LQParams(float(lam[0]), game.cap),
-                              profile, tol=args.tol)
+    params = plateau_params(game)
+    profile = io.parse_profile_source(args.profile, game.grid, game.cap)
+    cert = verify_equilibrium(game.graphon, params, profile, tol=args.tol)
     violations = cert.violating_cells()
     print(f"epsilon_star = {cert.report.epsilon_star:.6g}")
     print(f"max regret   = {cert.report.regrets.values.max():.6g}")
@@ -112,7 +98,7 @@ def _cmd_lq_verify(args) -> int:
 def _cmd_solve(args) -> int:
     game = io.game_from_descriptor(io.load_json(args.game))
     f0 = io.parse_profile_source(args.init, game.grid, game.cap)
-    config = SolverConfig(**io.load_json(args.config)) if args.config else SolverConfig()
+    config = io.solver_config_from_descriptor(io.load_json(args.config) if args.config else {})
     profile, trace = solve(game, f0, config)
     io.save_profile_csv(args.out, profile)
     if args.trace:
@@ -148,7 +134,11 @@ def main(argv=None) -> int:
         handler = _cmd_solve
     else:
         handler = _cmd_lab_run
-    return handler(args)
+    try:
+        return handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"graphon-games: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ game descriptors, and report tables."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import os
@@ -11,9 +12,19 @@ import numpy as np
 
 from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile
 from .games import UTILITY_FAMILIES, GraphonGame, NetworkGame, RegretReport, UtilitySpec
+from .solver import SolverConfig
 
 # JSON parameter keys per utility family (code name -> file name)
 _PARAM_KEYS = {"lam": "lambda"}
+
+
+def check_keys(d: dict, allowed, what: str, exact: bool = False) -> None:
+    """Reject a key of ``d`` outside ``allowed`` (and, if ``exact``, a missing one)."""
+    allowed, unknown = sorted(allowed), sorted(set(d) - set(allowed))
+    if exact and sorted(d) != allowed:
+        raise ValueError(f"{what} needs parameters {allowed}, got {sorted(d)}")
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; it takes {allowed}")
 
 
 def save_json(path, obj) -> None:
@@ -51,6 +62,7 @@ def profile_to_envelope(profile: StepProfile) -> dict:
 
 
 def profile_from_envelope(d: dict) -> StepProfile:
+    check_keys(d, ("n", "values"), "profile envelope")
     values = np.asarray(d["values"], dtype=float)
     return StepProfile(GridSpec(int(d["n"])), values)
 
@@ -60,32 +72,27 @@ def step_graphon_to_envelope(W: StepGraphon) -> dict:
 
 
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
-    n = int(d["n"])
+    """{"values": nested rows} or {"n": n, "values": flat row-major}."""
+    check_keys(d, ("n", "values"), "step graphon")
     values = np.asarray(d["values"], dtype=float)
     if values.ndim == 1:
-        values = values.reshape(n, n)
+        values = values.reshape((int(d["n"]),) * 2)
     return StepGraphon(values)
 
 
 def graphon_from_descriptor(d: dict) -> Graphon:
     """Build a kernel from {"family": ..., "params": {...}}; "block" is an alias
     for a uniform-block step graphon."""
+    check_keys(d, ("family", "params"), "graphon descriptor")
     family = d["family"]
     params = d.get("params", {})
     if family in SEPARABLE_FAMILIES:
         make = SEPARABLE_FAMILIES[family]
-        expected = sorted(inspect.signature(make).parameters)
-        if sorted(params) != expected:
-            raise ValueError(
-                f"graphon family {family!r} needs parameters {expected}, got {sorted(params)}"
-            )
+        check_keys(params, inspect.signature(make).parameters, f"graphon family {family!r}",
+                   exact=True)
         return make(**{k: float(v) for k, v in params.items()})
     if family in ("step", "block"):
-        values = np.asarray(params["values"], dtype=float)
-        if values.ndim == 1:
-            n = int(params["n"])
-            values = values.reshape(n, n)
-        return StepGraphon(values)
+        return step_graphon_from_envelope(params)
     raise ValueError(f"unknown graphon family {family!r}")
 
 
@@ -94,21 +101,15 @@ def graphon_to_descriptor(W: Graphon) -> dict:
 
 
 def utility_from_descriptor(d: dict, grid: GridSpec) -> UtilitySpec:
+    check_keys(d, ("family", "params"), "utility descriptor")
     family = d["family"]
     if family not in UTILITY_FAMILIES:
         raise ValueError(f"unknown utility family {family!r}; have {sorted(UTILITY_FAMILIES)}")
     cls = UTILITY_FAMILIES[family]
+    names = {_PARAM_KEYS.get(name, name): name for name in cls.param_names}
     raw = d.get("params", {})
-    values = {}
-    for name in cls.param_names:
-        key = _PARAM_KEYS.get(name, name)
-        if key in raw:
-            values[name] = raw[key]
-        elif name in raw:
-            values[name] = raw[name]
-        else:
-            raise ValueError(f"utility family {family!r} needs parameter {key!r}")
-    return cls.from_values(grid, **values)
+    check_keys(raw, names, f"utility family {family!r}", exact=True)
+    return cls.from_values(grid, **{names[key]: v for key, v in raw.items()})
 
 
 def utility_to_descriptor(spec: UtilitySpec) -> dict:
@@ -119,6 +120,7 @@ def utility_to_descriptor(spec: UtilitySpec) -> dict:
 
 def game_from_descriptor(d: dict) -> GraphonGame:
     """{"graphon": {...}, "utility": {"family": ..., "params": {...}}, "L": ..., "grid_n": ...}"""
+    check_keys(d, ("graphon", "utility", "L", "grid_n"), "game descriptor")
     grid = GridSpec(int(d["grid_n"]))
     graphon = graphon_from_descriptor(d["graphon"])
     utilities = utility_from_descriptor(d["utility"], grid)
@@ -137,6 +139,7 @@ def game_to_descriptor(game: GraphonGame) -> dict:
 def network_game_from_descriptor(d: dict, base_dir: str = ".") -> NetworkGame:
     """Like a game descriptor, with the adjacency inline ("adjacency") or in a
     CSV file ("adjacency_csv", resolved relative to base_dir)."""
+    check_keys(d, ("adjacency", "adjacency_csv", "utility", "L"), "network game descriptor")
     if "adjacency" in d:
         adjacency = np.asarray(d["adjacency"], dtype=float)
     elif "adjacency_csv" in d:
@@ -146,6 +149,11 @@ def network_game_from_descriptor(d: dict, base_dir: str = ".") -> NetworkGame:
     n = adjacency.shape[0]
     utilities = utility_from_descriptor(d["utility"], GridSpec(n))
     return NetworkGame(adjacency, utilities, float(d["L"]))
+
+
+def solver_config_from_descriptor(d: dict) -> SolverConfig:
+    check_keys(d, [f.name for f in dataclasses.fields(SolverConfig)], "solver config")
+    return SolverConfig(**d)
 
 
 def write_regret_csv(path, report: RegretReport) -> None:

@@ -15,7 +15,7 @@ composes both directions on two differently built sequences.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,14 +32,13 @@ from .core import (
 from .games import (
     GraphonGame,
     NetworkGame,
-    PlateauUtility,
     RegretReport,
     UtilitySpec,
     embed_network,
     embed_strategy,
     regret_profile,
 )
-from .lq import LQParams, SourceFunction, equilibrium_from_source
+from .lq import SourceFunction, equilibrium_from_source, plateau_params
 from .solver import SolverConfig, profile_distance, solve
 
 ROW_HEADER = (
@@ -93,7 +92,7 @@ class ExperimentPlan:
         """
         game = self.game
         if self.equilibrium_source == "resolvent":
-            params = _plateau_params(game)
+            params = plateau_params(game)
             if self.source_profile is not None:
                 prof = self.source_profile
                 if prof.grid != game.grid:
@@ -103,7 +102,7 @@ class ExperimentPlan:
                 g = SourceFunction.constant(self.source_value, game.grid)
             profile = equilibrium_from_source(game.graphon, params, g, self.resolvent_tol)
         else:
-            f0 = _initial_profile(self.solver_init, game)
+            f0 = io.parse_profile_source(self.solver_init, game.grid, game.cap)
             profile, trace = solve(game, f0, self.solver)
             if not trace.converged:
                 raise CertificationError("solver source did not converge on the target game")
@@ -114,6 +113,17 @@ class ExperimentPlan:
                 f"{report.epsilon_star:.3g} > {self.certification_tol:.3g}"
             )
         return profile, report
+
+    @cached_property
+    def sequence(self) -> list[tuple[NetworkGame, tuple[float, float]]]:
+        """Each network game of the sequence with its (kernel, utility) L1 errors
+        to the target game; built once per plan, like ``reference``."""
+        return [
+            (net, (graphon_l1_distance(self.game.graphon, StepGraphon(net.adjacency),
+                                       resolution=self.game.grid.n_cells),
+                   _utility_l1_error(self.game.utilities, net.utilities)))
+            for net in build_network_sequence(self.game, self.n_list)
+        ]
 
 
 def _check_sizes(n_list, n_ref: int) -> None:
@@ -172,23 +182,6 @@ def regrid_game(game: GraphonGame, n_cells: int) -> GraphonGame:
                        GridSpec(n_cells))
 
 
-def _plateau_params(game: GraphonGame) -> LQParams:
-    if not isinstance(game.utilities, PlateauUtility):
-        raise ValueError("the resolvent equilibrium source needs the plateau_lq family")
-    lam = game.utilities.lam
-    if np.ptp(lam) != 0:
-        raise ValueError("the resolvent equilibrium source needs a uniform lam")
-    return LQParams(float(lam[0]), game.cap)
-
-
-def _initial_profile(init: str, game: GraphonGame) -> StepProfile:
-    if init == "const:L":
-        return StepProfile.constant(game.cap, game.grid)
-    if init.startswith("const:"):
-        return StepProfile.constant(float(init.split(":", 1)[1]), game.grid)
-    return io.parse_profile_source(init, game.grid, game.cap)
-
-
 def _utility_l1_error(target: UtilitySpec, coarse: UtilitySpec) -> float:
     return sum(
         profile_distance(target.params[name], coarse.params[name], "l1")
@@ -196,15 +189,13 @@ def _utility_l1_error(target: UtilitySpec, coarse: UtilitySpec) -> float:
     )
 
 
-def _row(plan: ExperimentPlan, net: NetworkGame, profile_n: StepProfile,
-         reference: StepProfile, eps_n: float) -> ConvergenceRow:
+def _row(plan: ExperimentPlan, net: NetworkGame, errors: tuple[float, float],
+         profile_n: StepProfile, reference: StepProfile, eps_n: float) -> ConvergenceRow:
+    w_l1, u_l1 = errors
     return ConvergenceRow(
         n=net.n_players,
-        w_l1_error=graphon_l1_distance(
-            plan.game.graphon, StepGraphon(net.adjacency),
-            resolution=plan.game.grid.n_cells,
-        ),
-        u_l1_error=_utility_l1_error(plan.game.utilities, net.utilities),
+        w_l1_error=w_l1,
+        u_l1_error=u_l1,
         profile_l1=profile_distance(profile_n, reference, "l1"),
         profile_exceed_fraction=profile_distance(
             profile_n, reference, "exceed-fraction", plan.exceed_delta
@@ -251,10 +242,10 @@ def _coarsened(plan: ExperimentPlan,
                certified: tuple[StepProfile, RegretReport]) -> CoarsenedResult:
     reference, ref_report = certified
     rows = []
-    for net in build_network_sequence(plan.game, plan.n_list):
+    for net, errors in plan.sequence:
         s_n = approximate_profile(reference, net.n_players)
         eps_n = regret_profile(net, s_n).epsilon_star
-        rows.append(_row(plan, net, embed_strategy(s_n), reference, eps_n))
+        rows.append(_row(plan, net, errors, embed_strategy(s_n), reference, eps_n))
     eps_last = rows[-1].epsilon_n
     return CoarsenedResult(
         rows=rows,
@@ -309,21 +300,21 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
 def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
     solved = []
     skipped = []
-    for net in build_network_sequence(plan.game, plan.n_list):
+    for net, errors in plan.sequence:
         embedded = embed_network(net)
-        f0 = _initial_profile(plan.solver_init, embedded)
+        f0 = io.parse_profile_source(plan.solver_init, embedded.grid, embedded.cap)
         profile, trace = solve(embedded, f0, plan.solver)
         if not trace.converged:
             skipped.append(net.n_players)
             continue
-        solved.append((net, profile, trace))
+        solved.append((net, errors, profile, trace))
     if not solved:
         raise CertificationError("no game in the sequence produced a converged solve")
 
-    limit = solved[-1][1].refine(plan.game.grid.n_cells)
+    limit = solved[-1][2].refine(plan.game.grid.n_cells)
     rows, d_l1, d_exceed = [], [], []
-    for net, profile, trace in solved:
-        rows.append(_row(plan, net, profile, reference, trace.final_report.epsilon_star))
+    for net, errors, profile, trace in solved:
+        rows.append(_row(plan, net, errors, profile, reference, trace.final_report.epsilon_star))
         d_l1.append(profile_distance(profile, limit, "l1"))
         d_exceed.append(profile_distance(profile, limit, "exceed-fraction", plan.exceed_delta))
     converging = _nonincreasing(d_l1) and _nonincreasing(d_exceed)
@@ -436,24 +427,23 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     """Parse a plan file into (plan, experiment name).
 
     The experiment name is one of "coarsened", "limit", or "characterization"
-    (default).  Thresholds absent from the file fall back to the plan defaults
-    and are echoed back in summaries.
+    (default).  Every other key but "source_g" names an ``ExperimentPlan`` field.
+    Thresholds absent from the file fall back to the plan defaults and are echoed
+    back in summaries.  Profile paths (``source_g``, a CSV ``solver_init``) are
+    relative to base_dir.
     """
-    game = io.game_from_descriptor(d["game"])
-    kwargs: dict = {"game": game}
-    if "n_list" in d:
-        kwargs["n_list"] = tuple(int(n) for n in d["n_list"])
-    for key in (
-        "equilibrium_source", "resolvent_tol", "certification_tol", "eps_tolerance",
-        "limit_l1_tolerance", "limit_eps_tolerance", "exceed_delta", "solver_init",
-        "cross_l1_tolerance", "alt_grid",
-    ):
+    names = {f.name for f in fields(ExperimentPlan)}
+    names -= {"source_value", "source_profile", "out_dir"}  # set by "source_g" and the caller
+    io.check_keys(d, names | {"experiment", "source_g"}, "plan file")
+    kwargs = {key: d[key] for key in names & d.keys()}
+    kwargs["game"] = io.game_from_descriptor(d["game"])
+    for key in ("n_list", "alt_n_list"):
         if key in d:
-            kwargs[key] = d[key]
-    if "alt_n_list" in d:
-        kwargs["alt_n_list"] = tuple(int(n) for n in d["alt_n_list"])
+            kwargs[key] = tuple(int(n) for n in d[key])
     if "solver" in d:
-        kwargs["solver"] = SolverConfig(**d["solver"])
+        kwargs["solver"] = io.solver_config_from_descriptor(d["solver"])
+    if not kwargs.get("solver_init", "const:").startswith("const:"):
+        kwargs["solver_init"] = os.path.join(base_dir, kwargs["solver_init"])
     source = d.get("source_g")
     if source is not None:
         if isinstance(source, (int, float)):

@@ -109,6 +109,17 @@ def lq_best_response(e: float, params: LQParams) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def plateau_params(game: GraphonGame) -> LQParams:
+    """The parameters of a plateau game whose lam is the same for every agent."""
+    if not isinstance(game.utilities, PlateauUtility):
+        raise ValueError(
+            f"the plateau game needs a plateau_lq utility, got {game.utilities.family}")
+    lam = game.utilities.lam
+    if np.ptp(lam) != 0:
+        raise ValueError("the plateau game needs a uniform lambda")
+    return LQParams(float(lam[0]), game.cap)
+
+
 def lq_game(W: Graphon, params: LQParams, grid: GridSpec) -> GraphonGame:
     """The graphon game with the plateau utility at these parameters."""
     return GraphonGame(W, params.utility_spec(grid), params.cap, grid)

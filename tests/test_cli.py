@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,15 @@ from graphon_games import io
 from graphon_games.cli import main
 from graphon_games.core import GridSpec, SeparablePowerGraphon, StepProfile
 from graphon_games.lq import LQParams, SourceFunction, equilibrium_from_source
+
+
+def assert_input_error(capsys, match, argv):
+    """main exits 2 and reports the error as one stderr line, without a traceback."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(match, err), err
 
 
 @pytest.fixture
@@ -50,16 +60,23 @@ class TestLQSolveCommand:
         assert code == 0
         assert io.load_profile_csv(out).grid.n_cells == 32
 
-
-    def test_incommensurate_step_grid_writes_nothing(self, workspace):
+    def test_incommensurate_step_grid_writes_nothing(self, workspace, capsys):
         io.save_json(workspace / "step3.json",
                      {"family": "step", "params": {"n": 3, "values": [[0.5] * 3] * 3}})
         out = workspace / "s4.csv"
-        with pytest.raises(ValueError, match="must divide the game grid"):
-            main([
-                "lq", "solve", "--graphon", str(workspace / "step3.json"),
-                "--lambda", "0.5", "--L", "4.0", "--n", "4", "--out", str(out),
-            ])
+        assert_input_error(capsys, "must divide the game grid", [
+            "lq", "solve", "--graphon", str(workspace / "step3.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "4", "--out", str(out),
+        ])
+        assert not out.exists()
+
+    def test_contraction_violation_is_an_input_error(self, workspace, capsys):
+        io.save_json(workspace / "c1.json", {"family": "constant", "params": {"c": 1.0}})
+        out = workspace / "s.csv"
+        assert_input_error(capsys, "contraction violated", [
+            "lq", "solve", "--graphon", str(workspace / "c1.json"),
+            "--lambda", "1.5", "--L", "4.0", "--n", "8", "--out", str(out),
+        ])
         assert not out.exists()
 
 
@@ -96,6 +113,20 @@ class TestLQVerifyCommand:
         ])
         assert code == 2
 
+    def test_quadratic_game_is_an_input_error(self, workspace, capsys):
+        io.save_json(workspace / "quadratic.json", {
+            "graphon": {"family": "constant", "params": {"c": 0.5}},
+            "utility": {"family": "quadratic", "params": {"beta": 1.0, "delta": 0.5}},
+            "L": 4.0,
+            "grid_n": 8,
+        })
+        profile = workspace / "p.csv"
+        io.save_profile_csv(profile, StepProfile.constant(1.0, GridSpec(8)))
+        assert_input_error(capsys, "needs a plateau_lq utility, got quadratic", [
+            "lq", "verify", "--game", str(workspace / "quadratic.json"),
+            "--profile", str(profile),
+        ])
+
 
 class TestSolveCommand:
     def test_solves_and_writes_trace(self, workspace, capsys):
@@ -117,7 +148,65 @@ class TestSolveCommand:
         assert profile.grid.n_cells == 64
 
 
+    def test_unknown_config_key_is_an_input_error(self, workspace, capsys):
+        io.save_json(workspace / "solver.json", {"dampening": 0.5})
+        assert_input_error(capsys, r"solver config has unknown keys \['dampening'\]", [
+            "solve", "--game", str(workspace / "game.json"),
+            "--config", str(workspace / "solver.json"), "--out", str(workspace / "f.csv"),
+        ])
+        assert not (workspace / "f.csv").exists()
+
+    def test_unknown_utility_parameter_is_an_input_error(self, workspace, capsys):
+        game = json.loads((workspace / "game.json").read_text())
+        game["utility"]["params"]["lam"] = 0.5
+        io.save_json(workspace / "game.json", game)
+        assert_input_error(capsys, r"'plateau_lq' needs parameters \['lambda'\]", [
+            "solve", "--game", str(workspace / "game.json"), "--out", str(workspace / "f.csv"),
+        ])
+
+
 class TestLabRunCommand:
+    def run_plan_with(self, workspace, capsys, match, **keys):
+        plan = {
+            "experiment": "coarsened",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            **keys,
+        }
+        io.save_json(workspace / "plan.json", plan)
+        assert_input_error(capsys, match, [
+            "lab", "run", "--plan", str(workspace / "plan.json"),
+            "--out", str(workspace / "results"),
+        ])
+        assert not (workspace / "results").exists()
+
+    def test_solver_init_is_relative_to_the_plan(self, workspace, monkeypatch):
+        plan_dir = workspace / "plans"
+        plan_dir.mkdir()
+        io.save_profile_csv(plan_dir / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
+        io.save_json(plan_dir / "plan.json", {
+            "experiment": "coarsened",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            "equilibrium_source": "solver",
+            "solver_init": "init.csv",
+        })
+        monkeypatch.chdir(workspace)
+        assert main(["lab", "run", "--plan", "plans/plan.json", "--out", "results"]) == 0
+        assert json.loads((workspace / "results" / "summary.json").read_text())["passed"]
+
+    def test_misspelled_plan_key_is_an_input_error(self, workspace, capsys):
+        self.run_plan_with(workspace, capsys, r"plan file has unknown keys \['eps_tolerence'\]",
+                           eps_tolerence=-1.0)
+
+    def test_unknown_plan_solver_key_is_an_input_error(self, workspace, capsys):
+        self.run_plan_with(workspace, capsys, r"solver config has unknown keys \['iters'\]",
+                           solver={"iters": 10})
+
+    def test_unknown_experiment_is_an_input_error(self, workspace, capsys):
+        self.run_plan_with(workspace, capsys, "unknown experiment 'mystery'",
+                           experiment="mystery")
+
     def test_runs_plan_and_writes_summary(self, workspace, capsys):
         plan = {
             "experiment": "coarsened",

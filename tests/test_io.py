@@ -90,6 +90,42 @@ class TestGraphonDescriptors:
             io.graphon_from_descriptor({"family": "separable_power", "params": {}})
 
 
+    def test_step_descriptor_reads_the_envelope(self):
+        W = io.graphon_from_descriptor(
+            {"family": "step", "params": {"n": 2, "values": [0.1, 0.2, 0.3, 0.4]}})
+        np.testing.assert_array_equal(W.values, [[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValueError, match=r"step graphon has unknown keys \['rows'\]"):
+            io.graphon_from_descriptor({"family": "step", "params": {"rows": [[0.5]]}})
+
+
+class TestUnknownKeys:
+    GAME = {
+        "graphon": {"family": "constant", "params": {"c": 0.5}},
+        "utility": {"family": "plateau_lq", "params": {"lambda": 0.5}},
+        "L": 4.0,
+        "grid_n": 4,
+    }
+
+    @pytest.mark.parametrize("read, d, what", [
+        (io.graphon_from_descriptor, {"family": "product", "param": {}}, "graphon descriptor"),
+        (lambda d: io.utility_from_descriptor(d, GridSpec(2)),
+         {"family": "plateau_lq", "params": {"lambda": 0.5}, "L": 4.0}, "utility descriptor"),
+        (io.game_from_descriptor, {**GAME, "grid": 4}, "game descriptor"),
+        (io.network_game_from_descriptor, {**GAME, "adjacency": [[0.5]]},
+         "network game descriptor"),
+        (io.profile_from_envelope, {"n": 1, "values": [1.0], "grid": 1}, "profile envelope"),
+        (io.solver_config_from_descriptor, {"damping": 0.5, "tol": 1e-9}, "solver config"),
+    ])
+    def test_reader_rejects_unknown_key(self, read, d, what):
+        with pytest.raises(ValueError, match=f"^{what} has unknown keys"):
+            read(d)
+
+    def test_lam_is_not_a_spelling_of_lambda(self):
+        with pytest.raises(ValueError, match=r"needs parameters \['lambda'\], got \['lam'\]"):
+            io.utility_from_descriptor({"family": "plateau_lq", "params": {"lam": 0.5}},
+                                       GridSpec(2))
+
+
 class TestUtilityDescriptors:
     def test_scalar_lambda_round_trip(self):
         grid = GridSpec(4)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from graphon_games import lab
+from graphon_games import io, lab
 from graphon_games.core import (
     ConstantGraphon,
     GridCompatibilityError,
@@ -281,6 +281,20 @@ class TestCharacterizationSuite:
         assert run_characterization_suite(plan).passed
         assert target_calls == [48]
 
+    def test_each_network_kernel_error_computed_once(self, monkeypatch):
+        # the demo plan: both experiments on a sequence share its networks and errors
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].n)
+            return graphon_l1_distance(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "graphon_l1_distance", counting)
+        plan = ExperimentPlan(reference_game(768), n_list=(8, 16, 32, 64, 128, 256),
+                              alt_n_list=(12, 24, 48, 96, 192), alt_grid=768)
+        assert run_characterization_suite(plan).passed
+        assert sorted(calls) == sorted(plan.n_list + plan.alt_n_list)
+
     def test_distinct_sources_give_distinct_certified_equilibria(self):
         game = reference_game(48)
         plan1 = ExperimentPlan(game, n_list=(6, 12, 24, 48), source_value=1.0)
@@ -337,6 +351,28 @@ class TestPlanParsing:
         assert plan.solver.max_iters == 500 and plan.solver.damping == 0.4
         result = run_plan(plan, experiment)
         assert result.passed
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"plan file has unknown keys \['eps_tolerence'\]"):
+            plan_from_descriptor({**self.DESCRIPTOR, "eps_tolerence": -1.0})
+
+    @pytest.mark.parametrize("key", ["out_dir", "source_value", "source_profile"])
+    def test_fields_set_elsewhere_are_not_plan_keys(self, key):
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            plan_from_descriptor({**self.DESCRIPTOR, key: 1.0})
+
+    def test_profile_paths_resolve_against_the_plan_directory(self, tmp_path, monkeypatch):
+        io.save_profile_csv(tmp_path / "g.csv", StepProfile.constant(1.0, GridSpec(64)))
+        io.save_profile_csv(tmp_path / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
+        monkeypatch.chdir(tmp_path.parent)
+        plan, _ = plan_from_descriptor(
+            {**self.DESCRIPTOR, "source_g": "g.csv", "solver_init": "init.csv",
+             "equilibrium_source": "solver"},
+            tmp_path.name,
+        )
+        assert plan.solver_init == os.path.join(tmp_path.name, "init.csv")
+        np.testing.assert_array_equal(plan.source_profile.values, 1.0)
+        assert run_plan(plan, "coarsened").passed
 
     def test_unknown_experiment(self):
         plan, _ = plan_from_descriptor(self.DESCRIPTOR)
