@@ -3,8 +3,9 @@
 Subcommands: ``lq solve`` / ``lq verify`` for the plateau game, ``solve`` for
 the generic best-response solver, and ``lab run`` for the convergence
 experiments.  Exit codes: 0 on success, 1 if not certified or a plan threshold
-fails, 2 on an input error (reported by ``main`` as one stderr line), 3 if
-``solve`` does not converge.
+fails, 2 on an input error, 3 if ``solve`` does not converge.  ``main`` reports
+an input error, and an experiment whose equilibrium fails certification, as one
+stderr line.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"graphon-games: {exc}", file=sys.stderr)
         return 2
+    except lab.CertificationError as exc:
+        print(f"graphon-games: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

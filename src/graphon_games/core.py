@@ -299,25 +299,76 @@ def _factor_averages(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE):
     return abar, bbar
 
 
+@dataclass(frozen=True, eq=False)
+class KernelOperator:
+    """The local aggregate f ↦ ∫ W(·, s) f(s) ds of one kernel on one grid,
+    discretized once, in one of three kinds:
+
+    - "dense": a step kernel with k = N cells, e = V @ f / N;
+    - "block": a step kernel with k | N and k < N, e = repeat(V @ mean_k(f) / k, N/k),
+      so no N x N matrix is formed;
+    - "rank-1": a separable kernel a(t)b(s), e = ā (b̄ · f) / N from the factor
+      averages of its step approximation, again with no N x N matrix.
+
+    ``dense()`` materializes the step approximation's N x N matrix on demand.
+    """
+
+    kernel: Graphon
+    grid: GridSpec
+    kind: str = field(init=False)
+    _factors: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.grid.n_cells
+        if isinstance(self.kernel, StepGraphon):
+            check_step_resolution(self.kernel, self.grid)
+            kind, factors = ("dense" if self.kernel.n == n else "block"), (self.kernel.values,)
+        else:
+            kind, factors = "rank-1", _factor_averages(self.kernel, n)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_factors", factors)
+
+    @property
+    def sup(self) -> float:
+        """The kernel sup, which bounds the operator's sup-norm."""
+        return self.kernel.sup_norm()
+
+    def apply(self, values) -> np.ndarray:
+        """Aggregate of the step profile with these cell values, on the same grid."""
+        n = self.grid.n_cells
+        if np.shape(values) != (n,):
+            raise ValueError(f"expected {n} values, got shape {np.shape(values)}")
+        if self.kind == "rank-1":
+            abar, bbar = self._factors
+            return abar * (bbar @ values) / n
+        (matrix,) = self._factors
+        if self.kind == "dense":
+            return matrix @ values / n
+        k = matrix.shape[0]
+        coarse = np.asarray(values).reshape(k, n // k).mean(axis=1)
+        return np.repeat(matrix @ coarse / k, n // k)
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix of the kernel's step approximation on the grid."""
+        return step_approximation(self.kernel, self.grid.n_cells).values
+
+
 def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
     """Cell-average quadrature of the externality integral e(t) = ∫ W(t,s) f(s) ds.
 
-    For a step graphon the result is exact: both operands are refined to their
-    common grid (identity when the kernel resolution divides the profile's) and
-    e = (V @ f) / N there.  A separable kernel a(t)b(s) uses the factor averages
-    of its step approximation at the profile's resolution, e = ā (b̄ · f) / N,
-    so no N x N matrix is formed.
+    On the profile's grid this is ``KernelOperator(W, f.grid)``.  A step graphon
+    whose resolution does not divide the profile's is exact too: both operands
+    are refined to their common grid and e = (V @ f) / N there.
     """
     n_prof = f.grid.n_cells
-    if isinstance(W, StepGraphon):
+    if isinstance(W, StepGraphon) and n_prof % W.n:
         common = _common_cells(W.n, n_prof)
         matrix = W.values
         if common != W.n:
             matrix = np.repeat(np.repeat(matrix, common // W.n, axis=0), common // W.n, axis=1)
-        vals = f.values if common == n_prof else np.repeat(f.values, common // n_prof)
+        vals = np.repeat(f.values, common // n_prof)
         return StepProfile(GridSpec(common), matrix @ vals / common)
-    abar, bbar = _factor_averages(W, n_prof)
-    return StepProfile(f.grid, abar * (bbar @ f.values) / n_prof)
+    return StepProfile(f.grid, KernelOperator(W, f.grid).apply(f.values))
 
 
 def iterated_kernel(W: Graphon, n: int, grid: GridSpec,

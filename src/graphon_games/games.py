@@ -4,16 +4,17 @@ and the epsilon-Nash certifier built on the per-agent regret profile."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     GridSpec,
+    KernelOperator,
     StepProfile,
     Graphon,
     StepGraphon,
     check_step_resolution,
-    local_aggregate,
 )
 
 BEST_RESPONSE_TOL = 1e-8
@@ -208,6 +209,11 @@ class GraphonGame:
             raise ValueError("utility profiles must live on the game grid")
         check_step_resolution(self.graphon, self.grid)
 
+    @cached_property
+    def operator(self) -> KernelOperator:
+        """The kernel's local-aggregate operator on the game grid, built once per game."""
+        return KernelOperator(self.graphon, self.grid)
+
     @property
     def strategy_interval(self) -> tuple[float, float]:
         return 0.0, self.cap
@@ -338,6 +344,14 @@ def best_responses(utilities: UtilitySpec, agg, cap: float,
     return interval, np.asarray(best, float)
 
 
+def response_regrets(game, values, agg, br_tol: float = BEST_RESPONSE_TOL):
+    """Best-response interval (lo, hi) per cell under aggregate agg, and the
+    regret h = max_a u(a, agg) - u(values, agg) of playing values there."""
+    interval, best = best_responses(game.utilities, agg, game.cap, br_tol)
+    current = np.asarray(game.utilities.evaluate(values, agg), float)
+    return interval, np.maximum(best - current, 0.0)
+
+
 def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretReport:
     """Regret h(i) = max_a u_i(a, e_i) - u_i(f_i, e_i) per cell, plus epsilon*.
 
@@ -359,13 +373,11 @@ def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretRe
             )
         values = f.values
         grid = game.grid
-        agg = local_aggregate(game.graphon, f).values
+        agg = game.operator.apply(values)
     if values.min() < -1e-12 or values.max() > game.cap + 1e-12:
         raise ValueError(f"profile leaves the strategy interval [0, {game.cap}]")
 
-    current = np.asarray(game.utilities.evaluate(values, agg), float)
-    _, best = best_responses(game.utilities, agg, game.cap, br_tol)
-    h = np.maximum(best - current, 0.0)
+    _, h = response_regrets(game, values, agg, br_tol)
     return RegretReport(
         regrets=StepProfile(grid, h),
         epsilon_star=epsilon_star(h),

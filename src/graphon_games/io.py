@@ -18,13 +18,17 @@ from .solver import SolverConfig
 _PARAM_KEYS = {"lam": "lambda"}
 
 
-def check_keys(d: dict, allowed, what: str, exact: bool = False) -> None:
-    """Reject a key of ``d`` outside ``allowed`` (and, if ``exact``, a missing one)."""
+def check_keys(d: dict, allowed, what: str, required=(), exact: bool = False) -> None:
+    """Reject a key of ``d`` outside ``allowed`` or a missing one of ``required``
+    (with ``exact``, a missing one of ``allowed``)."""
     allowed, unknown = sorted(allowed), sorted(set(d) - set(allowed))
     if exact and sorted(d) != allowed:
         raise ValueError(f"{what} needs parameters {allowed}, got {sorted(d)}")
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}; it takes {allowed}")
+    missing = sorted(set(required) - set(d))
+    if missing:
+        raise ValueError(f"{what} is missing keys {missing}; it needs {sorted(required)}")
 
 
 def save_json(path, obj) -> None:
@@ -62,7 +66,7 @@ def profile_to_envelope(profile: StepProfile) -> dict:
 
 
 def profile_from_envelope(d: dict) -> StepProfile:
-    check_keys(d, ("n", "values"), "profile envelope")
+    check_keys(d, ("n", "values"), "profile envelope", required=("n", "values"))
     values = np.asarray(d["values"], dtype=float)
     return StepProfile(GridSpec(int(d["n"])), values)
 
@@ -73,9 +77,10 @@ def step_graphon_to_envelope(W: StepGraphon) -> dict:
 
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
     """{"values": nested rows} or {"n": n, "values": flat row-major}."""
-    check_keys(d, ("n", "values"), "step graphon")
+    check_keys(d, ("n", "values"), "step graphon", required=("values",))
     values = np.asarray(d["values"], dtype=float)
     if values.ndim == 1:
+        check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
         values = values.reshape((int(d["n"]),) * 2)
     return StepGraphon(values)
 
@@ -83,7 +88,7 @@ def step_graphon_from_envelope(d: dict) -> StepGraphon:
 def graphon_from_descriptor(d: dict) -> Graphon:
     """Build a kernel from {"family": ..., "params": {...}}; "block" is an alias
     for a uniform-block step graphon."""
-    check_keys(d, ("family", "params"), "graphon descriptor")
+    check_keys(d, ("family", "params"), "graphon descriptor", required=("family",))
     family = d["family"]
     params = d.get("params", {})
     if family in SEPARABLE_FAMILIES:
@@ -101,7 +106,7 @@ def graphon_to_descriptor(W: Graphon) -> dict:
 
 
 def utility_from_descriptor(d: dict, grid: GridSpec) -> UtilitySpec:
-    check_keys(d, ("family", "params"), "utility descriptor")
+    check_keys(d, ("family", "params"), "utility descriptor", required=("family",))
     family = d["family"]
     if family not in UTILITY_FAMILIES:
         raise ValueError(f"unknown utility family {family!r}; have {sorted(UTILITY_FAMILIES)}")
@@ -120,7 +125,8 @@ def utility_to_descriptor(spec: UtilitySpec) -> dict:
 
 def game_from_descriptor(d: dict) -> GraphonGame:
     """{"graphon": {...}, "utility": {"family": ..., "params": {...}}, "L": ..., "grid_n": ...}"""
-    check_keys(d, ("graphon", "utility", "L", "grid_n"), "game descriptor")
+    keys = ("graphon", "utility", "L", "grid_n")
+    check_keys(d, keys, "game descriptor", required=keys)
     grid = GridSpec(int(d["grid_n"]))
     graphon = graphon_from_descriptor(d["graphon"])
     utilities = utility_from_descriptor(d["utility"], grid)
@@ -139,7 +145,8 @@ def game_to_descriptor(game: GraphonGame) -> dict:
 def network_game_from_descriptor(d: dict, base_dir: str = ".") -> NetworkGame:
     """Like a game descriptor, with the adjacency inline ("adjacency") or in a
     CSV file ("adjacency_csv", resolved relative to base_dir)."""
-    check_keys(d, ("adjacency", "adjacency_csv", "utility", "L"), "network game descriptor")
+    check_keys(d, ("adjacency", "adjacency_csv", "utility", "L"), "network game descriptor",
+               required=("utility", "L"))
     if "adjacency" in d:
         adjacency = np.asarray(d["adjacency"], dtype=float)
     elif "adjacency_csv" in d:

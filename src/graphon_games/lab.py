@@ -298,11 +298,18 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
 
 
 def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
+    # a CSV start is a profile on the target grid, averaged onto each network
+    start = None
+    if not plan.solver_init.startswith("const:"):
+        start = io.parse_profile_source(plan.solver_init, plan.game.grid, plan.game.cap)
     solved = []
     skipped = []
     for net, errors in plan.sequence:
         embedded = embed_network(net)
-        f0 = io.parse_profile_source(plan.solver_init, embedded.grid, embedded.cap)
+        if start is None:
+            f0 = io.parse_profile_source(plan.solver_init, embedded.grid, embedded.cap)
+        else:
+            f0 = start.average_to(net.n_players)
         profile, trace = solve(embedded, f0, plan.solver)
         if not trace.converged:
             skipped.append(net.n_players)
@@ -434,7 +441,7 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     """
     names = {f.name for f in fields(ExperimentPlan)}
     names -= {"source_value", "source_profile", "out_dir"}  # set by "source_g" and the caller
-    io.check_keys(d, names | {"experiment", "source_g"}, "plan file")
+    io.check_keys(d, names | {"experiment", "source_g"}, "plan file", required=("game",))
     kwargs = {key: d[key] for key in names & d.keys()}
     kwargs["game"] = io.game_from_descriptor(d["game"])
     for key in ("n_list", "alt_n_list"):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepProfile, common_grid, local_aggregate
+from .core import StepProfile, common_grid
 from .games import (
     BEST_RESPONSE_TOL,
     GraphonGame,
@@ -15,6 +15,7 @@ from .games import (
     best_responses,
     epsilon_star,
     regret_profile,
+    response_regrets,
 )
 
 SELECTION_RULES = ("nearest-point", "interval-midpoint", "lower-endpoint")
@@ -69,7 +70,7 @@ def best_response_map(game: GraphonGame, f: StepProfile, rule: str = "nearest-po
     """One synchronous best response: per cell, compute the best-response set and
     select a point by the rule (nearest-point projects the current strategy
     onto the set, so fixed points are exactly the equilibria)."""
-    agg = local_aggregate(game.graphon, f).values
+    agg = game.operator.apply(f.values)
     (lo, hi), _ = best_responses(game.utilities, agg, game.cap, br_tol)
     return StepProfile(f.grid, _select(lo, hi, f.values, rule))
 
@@ -81,7 +82,8 @@ def solve(game: GraphonGame, f0: StepProfile,
     Stops when the certified epsilon* meets the regret target, the sup-norm step
     falls below step_tolerance, or max_iters runs out.  No general convergence
     guarantee exists; non-convergence is reported through converged=False,
-    not raised.
+    not raised.  The kernel is discretized once, as the game's operator; a stop
+    on the regret target reports the regrets its last iteration computed.
     """
     if f0.grid != game.grid:
         raise ValueError("initial profile must live on the game grid")
@@ -91,16 +93,22 @@ def solve(game: GraphonGame, f0: StepProfile,
     f = f0.values.copy()
     steps = []
     converged = False
+    final_report = None
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        agg = local_aggregate(game.graphon, StepProfile(game.grid, f)).values
-        (lo, hi), best = best_responses(game.utilities, agg, game.cap,
-                                        config.best_response_tolerance)
-        current = np.asarray(game.utilities.evaluate(f, agg), float)
-        regrets = np.maximum(best - current, 0.0)
-        if epsilon_star(regrets) <= config.regret_target:
+        agg = game.operator.apply(f)
+        (lo, hi), regrets = response_regrets(game, f, agg, config.best_response_tolerance)
+        eps = epsilon_star(regrets)
+        if eps <= config.regret_target:
             converged = True
+            final_report = RegretReport(
+                regrets=StepProfile(game.grid, regrets),
+                epsilon_star=eps,
+                best_response_tolerance=config.best_response_tolerance,
+                strategy=StepProfile(game.grid, f),
+                aggregate=StepProfile(game.grid, agg),
+            )
             break
         update = _select(lo, hi, f, config.selection_rule)
         f_next = (1.0 - config.damping) * f + config.damping * update
@@ -112,7 +120,8 @@ def solve(game: GraphonGame, f0: StepProfile,
             break
 
     profile = StepProfile(game.grid, f)
-    final_report = regret_profile(game, profile, config.best_response_tolerance)
+    if final_report is None:
+        final_report = regret_profile(game, profile, config.best_response_tolerance)
     return profile, SolveTrace(iterations, np.asarray(steps), final_report, converged)
 
 

@@ -164,6 +164,14 @@ class TestSolveCommand:
             "solve", "--game", str(workspace / "game.json"), "--out", str(workspace / "f.csv"),
         ])
 
+    def test_missing_game_key_is_an_input_error(self, workspace, capsys):
+        game = json.loads((workspace / "game.json").read_text())
+        del game["L"]
+        io.save_json(workspace / "game.json", game)
+        assert_input_error(capsys, r"game descriptor is missing keys \['L'\]", [
+            "solve", "--game", str(workspace / "game.json"), "--out", str(workspace / "f.csv"),
+        ])
+
 
 class TestLabRunCommand:
     def run_plan_with(self, workspace, capsys, match, **keys):
@@ -194,6 +202,41 @@ class TestLabRunCommand:
         monkeypatch.chdir(workspace)
         assert main(["lab", "run", "--plan", "plans/plan.json", "--out", "results"]) == 0
         assert json.loads((workspace / "results" / "summary.json").read_text())["passed"]
+
+    def test_csv_solver_init_is_averaged_onto_each_network(self, workspace):
+        # the limit experiment starts every network from the 64-cell CSV averaged
+        # onto its own grid
+        io.save_profile_csv(workspace / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
+        io.save_json(workspace / "plan.json", {
+            "experiment": "limit",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            "solver_init": "init.csv",
+        })
+        assert main(["lab", "run", "--plan", str(workspace / "plan.json"),
+                     "--out", str(workspace / "results")]) == 0
+        assert json.loads((workspace / "results" / "summary.json").read_text())["passed"]
+
+    def test_uncertified_reference_exits_1_without_a_traceback(self, workspace, capsys):
+        io.save_json(workspace / "plan.json", {
+            "experiment": "coarsened",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            "equilibrium_source": "solver",
+            "solver": {"max_iters": 1},
+        })
+        capsys.readouterr()
+        assert main(["lab", "run", "--plan", str(workspace / "plan.json"),
+                     "--out", str(workspace / "results")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "solver source did not converge" in err
+
+    def test_missing_key_of_the_plan_game_is_an_input_error(self, workspace, capsys):
+        game = json.loads((workspace / "game.json").read_text())
+        del game["L"]
+        self.run_plan_with(workspace, capsys, r"game descriptor is missing keys \['L'\]",
+                           game=game)
 
     def test_misspelled_plan_key_is_an_input_error(self, workspace, capsys):
         self.run_plan_with(workspace, capsys, r"plan file has unknown keys \['eps_tolerence'\]",

@@ -14,11 +14,13 @@ from graphon_games.core import (
     Graphon,
     GridCompatibilityError,
     GridSpec,
+    KernelOperator,
     ProductGraphon,
     SeparableGraphon,
     SeparablePowerGraphon,
     StepGraphon,
     StepProfile,
+    _factor_averages,
     common_grid,
     graphon_l1_distance,
     iterated_kernel,
@@ -474,3 +476,55 @@ class TestSeparableGraphonProperties:
         assert back == W
         assert back.descriptor() == W.descriptor()
         assert back.sup_norm() == W.sup_norm()
+
+
+class TestKernelOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["dense", "block", "rank-1"]), data=st.data())
+    def test_apply_equals_the_dense_oracle(self, kind, data):
+        # oracle: the N x N step approximation applied to f
+        if kind == "rank-1":
+            W = data.draw(separable_kernels, label="W")
+            n = data.draw(st.integers(1, 300), label="n")
+        else:
+            k = data.draw(st.integers(1, 12), label="k")
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            W = StepGraphon(np.random.default_rng(seed).random((k, k)))
+            n = k * (1 if kind == "dense" else data.draw(st.integers(2, 24), label="N/k"))
+        f = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+        op = KernelOperator(W, GridSpec(n))
+        assert op.kind == kind
+        e = op.apply(f)
+        dense = step_approximation(W, n).values @ f / n
+        if kind == "dense":
+            np.testing.assert_array_equal(e, dense)
+        elif kind == "block":
+            np.testing.assert_allclose(e, dense, rtol=1e-12, atol=0)
+        else:
+            # a(t)b(s) summed in factored order rounds differently from the dense
+            # product; it is bit for bit the factored local aggregate ā (b̄ · f) / N
+            abar, bbar = _factor_averages(W, n)
+            np.testing.assert_array_equal(e, abar * (bbar @ f) / n)
+            # atol only absorbs underflow of products of subnormal factors
+            np.testing.assert_allclose(e, dense, rtol=1e-12, atol=1e-300)
+
+    def test_sup_dense_matrix_and_grid_checks(self):
+        W = StepGraphon([[0.9, 0.1], [0.1, 0.4]])
+        op = KernelOperator(W, GridSpec(6))
+        assert op.sup == 0.9
+        np.testing.assert_array_equal(op.dense(), np.repeat(np.repeat(W.values, 3, 0), 3, 1))
+        rank1 = KernelOperator(ProductGraphon(), GridSpec(5))
+        np.testing.assert_array_equal(rank1.dense(),
+                                      step_approximation(ProductGraphon(), 5).values)
+        with pytest.raises(ValueError, match="must divide the game grid"):
+            KernelOperator(W, GridSpec(3))
+        with pytest.raises(ValueError, match="expected 6 values"):
+            op.apply(np.ones(3))
+
+    def test_local_aggregate_applies_the_operator(self):
+        rng = np.random.default_rng(4)
+        W = StepGraphon(rng.random((3, 3)))
+        f = StepProfile(GridSpec(12), rng.random(12))
+        e = local_aggregate(W, f)
+        assert e.grid == f.grid
+        np.testing.assert_array_equal(e.values, KernelOperator(W, f.grid).apply(f.values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_games.core import ConstantGraphon, GridSpec, StepGraphon, StepProfile, local_aggregate
 from graphon_games.games import (
@@ -401,3 +403,20 @@ class TestEmbeddingExactness:
             rep_emb = regret_profile(embed_network(net), embed_strategy(s))
             np.testing.assert_array_equal(rep_net.regrets.values, rep_emb.regrets.values)
             assert rep_net.epsilon_star == rep_emb.epsilon_star
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["plateau_lq", "quadratic"]), n=st.integers(1, 64),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_embedding_exactness_property(self, family, n, seed):
+        # random adjacency, utilities and strategies: the embedded game's dense
+        # operator reproduces the network's regrets bit for bit
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n=n, family=family)
+        s = rng.uniform(0, net.cap, n)
+        embedded = embed_network(net)
+        rep_net = regret_profile(net, s)
+        rep_emb = regret_profile(embedded, embed_strategy(s))
+        assert embedded.operator.kind == "dense"
+        np.testing.assert_array_equal(rep_net.aggregate.values, rep_emb.aggregate.values)
+        np.testing.assert_array_equal(rep_net.regrets.values, rep_emb.regrets.values)
+        assert rep_net.epsilon_star == rep_emb.epsilon_star

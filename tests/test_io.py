@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphon_games import io
+from graphon_games import io, lab
 from graphon_games.core import (
     ConstantGraphon,
     GridSpec,
@@ -118,6 +118,23 @@ class TestUnknownKeys:
     ])
     def test_reader_rejects_unknown_key(self, read, d, what):
         with pytest.raises(ValueError, match=f"^{what} has unknown keys"):
+            read(d)
+
+    @pytest.mark.parametrize("read, d, what, key", [
+        (io.graphon_from_descriptor, {"params": {}}, "graphon descriptor", "family"),
+        (lambda d: io.utility_from_descriptor(d, GridSpec(2)),
+         {"params": {"lambda": 0.5}}, "utility descriptor", "family"),
+        (io.game_from_descriptor, {k: v for k, v in GAME.items() if k != "L"},
+         "game descriptor", "L"),
+        (io.network_game_from_descriptor, {"adjacency": [[0.5]], "L": 4.0},
+         "network game descriptor", "utility"),
+        (io.profile_from_envelope, {"values": [1.0]}, "profile envelope", "n"),
+        (io.step_graphon_from_envelope, {"n": 1}, "step graphon", "values"),
+        (io.step_graphon_from_envelope, {"values": [0.5]}, "step graphon with flat values", "n"),
+        (lambda d: lab.plan_from_descriptor(d), {"n_list": [1]}, "plan file", "game"),
+    ])
+    def test_reader_names_a_missing_key(self, read, d, what, key):
+        with pytest.raises(ValueError, match=rf"^{what} is missing keys \['{key}'\]"):
             read(d)
 
     def test_lam_is_not_a_spelling_of_lambda(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,61 @@ class TestSolve:
         regret_profile(game, prof)
         assert trace.converged and trace.iterations > 1
         assert calls == []
+
+    def test_kernel_discretized_once_per_game(self, monkeypatch):
+        calls = []
+        real = core._factor_averages
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_factor_averages", counting)
+        grid = GridSpec(64)
+        game = lq_game(SeparablePowerGraphon(0.5), LQParams(0.5, 4.0), grid)
+        prof, trace = solve(game, StepProfile.constant(4.0, grid))
+        best_response_map(game, prof)
+        regret_profile(game, prof)
+        assert trace.iterations > 1
+        assert calls == [64]
+
+    def test_regret_target_exit_reports_its_last_iteration(self, monkeypatch):
+        applied = []
+        real = core.KernelOperator.apply
+
+        def counting(self, values):
+            applied.append(1)
+            return real(self, values)
+
+        monkeypatch.setattr(core.KernelOperator, "apply", counting)
+        grid = GridSpec(64)
+        game = lq_game(SeparablePowerGraphon(0.5), LQParams(0.5, 4.0), grid)
+        config = SolverConfig(step_tolerance=1e-300)  # only the regret target can stop it
+        prof, trace = solve(game, StepProfile.constant(4.0, grid), config)
+        assert trace.converged and trace.final_report.epsilon_star <= config.regret_target
+        assert trace.iterations > 1 and len(applied) == trace.iterations
+        assert trace.step_sizes.size == trace.iterations - 1
+        # the same report regret_profile computes for the returned profile, bit for bit
+        again = regret_profile(game, prof, config.best_response_tolerance)
+        assert trace.final_report.epsilon_star == again.epsilon_star
+        for name in ("regrets", "strategy", "aggregate"):
+            np.testing.assert_array_equal(getattr(trace.final_report, name).values,
+                                          getattr(again, name).values)
+
+    def test_block_solve_never_forms_an_n_by_n_matrix(self):
+        # one 8192 x 8192 float matrix is 512 MiB
+        grid = GridSpec(8192)
+        game = lq_game(StepGraphon([[0.9, 0.1], [0.1, 0.4]]), LQParams(0.5, 4.0), grid)
+        tracemalloc.start()
+        try:
+            prof, trace = solve(game, StepProfile.constant(4.0, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game.operator.kind == "block"
+        assert trace.converged and trace.iterations > 1
+        assert trace.final_report.epsilon_star <= 1e-7
+        assert peak < 64 * 2 ** 20
 
     def test_undamped_static_game_converges_in_two_iterations(self):
         grid = GridSpec(8)
