@@ -52,9 +52,7 @@ from .lq import (
     SourceFunction,
     equilibrium_from_source,
     injection_check,
-    lq_best_response,
     lq_game,
-    lq_utility,
     verify_equilibrium,
 )
 from .solver import (

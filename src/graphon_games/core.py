@@ -15,11 +15,11 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_QUADRATURE = 4  # sub-samples per axis when averaging analytic kernels
-MAX_GRID_CELLS = 8192   # cap on common refinements of mixed resolutions
+MAX_GRID_CELLS = 8192   # cap on the cells per axis of an N x N matrix or a common refinement
 
 
 class GridCompatibilityError(ValueError):
-    """Mixed step resolutions share no common refinement within the size cap."""
+    """A step resolution does not fit a grid, or a grid exceeds the size cap."""
 
 
 class ContractionError(ValueError):
@@ -252,7 +252,7 @@ def check_step_resolution(W: Graphon, grid: GridSpec) -> None:
     """Reject a step kernel whose resolution does not divide the grid, so that its
     local aggregates of profiles on the grid land on that grid."""
     if isinstance(W, StepGraphon) and grid.n_cells % W.n:
-        raise ValueError(
+        raise GridCompatibilityError(
             f"step graphon resolution {W.n} must divide the game grid {grid.n_cells}"
         )
 
@@ -267,6 +267,14 @@ def _overlap_weights(n: int, p: int) -> np.ndarray:
     return np.maximum(hi - lo, 0) * (n / common)
 
 
+def _check_matrix_cells(n: int) -> None:
+    """Refuse an n x n matrix above the size cap before it is allocated."""
+    if n > MAX_GRID_CELLS:
+        raise GridCompatibilityError(
+            f"an {n} x {n} kernel matrix exceeds the cap of {MAX_GRID_CELLS} cells per axis"
+        )
+
+
 def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepGraphon:
     """Project a graphon onto the n-step grid by per-rectangle averaging.
 
@@ -275,12 +283,14 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
     is averaged with the m x m midpoint rule per cell (m = 1 evaluates at the
     cell midpoint); that average factors exactly into the outer product of the
     m-point cell averages of a and of b, so only n * m samples are taken.
+    Any other result is an n x n matrix, refused above ``MAX_GRID_CELLS``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if isinstance(W, StepGraphon) and W.n == n:
+        return W
+    _check_matrix_cells(n)
     if isinstance(W, StepGraphon):
-        if W.n == n:
-            return W
         weights = _overlap_weights(n, W.n)
         return StepGraphon(np.clip(weights @ W.values @ weights.T, 0.0, 1.0))
     abar, bbar = _factor_averages(W, n, m)
@@ -354,20 +364,8 @@ class KernelOperator:
 
 
 def local_aggregate(W: Graphon, f: StepProfile) -> StepProfile:
-    """Cell-average quadrature of the externality integral e(t) = ∫ W(t,s) f(s) ds.
-
-    On the profile's grid this is ``KernelOperator(W, f.grid)``.  A step graphon
-    whose resolution does not divide the profile's is exact too: both operands
-    are refined to their common grid and e = (V @ f) / N there.
-    """
-    n_prof = f.grid.n_cells
-    if isinstance(W, StepGraphon) and n_prof % W.n:
-        common = _common_cells(W.n, n_prof)
-        matrix = W.values
-        if common != W.n:
-            matrix = np.repeat(np.repeat(matrix, common // W.n, axis=0), common // W.n, axis=1)
-        vals = np.repeat(f.values, common // n_prof)
-        return StepProfile(GridSpec(common), matrix @ vals / common)
+    """Cell-average quadrature of the externality integral e(t) = ∫ W(t,s) f(s) ds,
+    by ``KernelOperator(W, f.grid)``: a step kernel must divide the profile's grid."""
     return StepProfile(f.grid, KernelOperator(W, f.grid).apply(f.values))
 
 
@@ -413,8 +411,7 @@ class ResolventKernel:
         return self.sup_norm / (1.0 - self.lam * self.sup_norm)
 
 
-def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float,
-              m: int = DEFAULT_QUADRATURE) -> ResolventKernel:
+def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKernel:
     """Truncated Neumann series Gamma = sum_{k=1}^{K} lambda^(k-1) W_k.
 
     K is the smallest order whose geometric tail sum_{k>K} lambda^(k-1) c^k is
@@ -441,7 +438,7 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float,
         order += 1
 
     n = grid.n_cells
-    wbar = step_approximation(W, n, m).values
+    wbar = step_approximation(W, n).values
     gamma = wbar.copy()
     term = wbar
     for _ in range(order - 1):
@@ -455,7 +452,8 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
 
     The default sampling grid refines every step resolution involved (making the
     distance exact between step graphons) and is at least 1024 cells per axis
-    when an analytic kernel is present.
+    when an analytic kernel is present.  No sampling grid may exceed
+    ``MAX_GRID_CELLS`` cells per axis.
     """
     base = 1
     analytic = False
@@ -475,6 +473,7 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
                 f"exact sampling of step resolutions needs {resolution} cells "
                 f"(cap {MAX_GRID_CELLS}); pass an explicit resolution to approximate"
             )
+    _check_matrix_cells(resolution)
     mids = (np.arange(resolution) + 0.5) / resolution
     diff = np.abs(_midpoint_samples(W1, mids) - _midpoint_samples(W2, mids))
     return float(diff.mean())

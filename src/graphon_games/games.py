@@ -21,6 +21,9 @@ BEST_RESPONSE_TOL = 1e-8
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+# utility parameter names in descriptor files, where they differ from the code's
+PARAM_FILE_KEYS = {"lam": "lambda"}
+
 
 def golden_section_max(fun, lo, hi, tol: float = BEST_RESPONSE_TOL):
     """Maximize a quasi-concave function on [lo, hi] by golden-section search.
@@ -108,10 +111,13 @@ class UtilitySpec:
         return type(self)({k: p.average_to(n_cells) for k, p in self.params.items()})
 
     def descriptor(self) -> dict:
+        """JSON-style {"family": ..., "params": ...} under the file's parameter names;
+        a parameter constant across agents is written as one number."""
         out = {}
         for name, prof in self.params.items():
             vals = prof.values
-            out[name] = float(vals[0]) if np.ptp(vals) == 0 else vals.tolist()
+            out[PARAM_FILE_KEYS.get(name, name)] = (float(vals[0]) if np.ptp(vals) == 0
+                                                    else vals.tolist())
         return {"family": self.family, "params": out}
 
 
@@ -129,41 +135,29 @@ class PlateauUtility(UtilitySpec):
     def lam(self) -> np.ndarray:
         return self.params["lam"].values
 
-    @staticmethod
-    def utility_values(a, e, lam):
+    def evaluate(self, a, e):
         a = np.asarray(a, float)
-        anchor = np.asarray(lam, float) * np.asarray(e, float)
+        anchor = self.lam * np.asarray(e, float)
         below = -0.5 * a ** 2 + anchor * a
         flat = 0.5 * anchor ** 2
         above = -0.5 * (a - 1.0) ** 2 + anchor * (a - 1.0)
         return np.where(a < anchor, below, np.where(a <= anchor + 1.0, flat, above))
 
-    @staticmethod
-    def response_interval(e, lam, cap):
+    def best_response(self, e, cap):
         """The correspondence {0} / {cap} / [lam*e, lam*e+1] ∩ [0, cap] as (lo, hi)."""
-        anchor = np.asarray(lam, float) * np.asarray(e, float)
+        anchor = self.lam * np.asarray(e, float)
         lo = np.where(anchor + 1.0 < 0.0, 0.0,
                       np.where(cap < anchor, cap, np.maximum(anchor, 0.0)))
         hi = np.where(anchor + 1.0 < 0.0, 0.0,
                       np.where(cap < anchor, cap, np.minimum(anchor + 1.0, cap)))
         return lo, hi
 
-    @staticmethod
-    def max_values(e, lam, cap):
-        anchor = np.asarray(lam, float) * np.asarray(e, float)
+    def best_value(self, e, cap):
+        anchor = self.lam * np.asarray(e, float)
         # plateau value when reachable; otherwise the boundary a = cap (resp. 0)
         return np.where(anchor + 1.0 < 0.0, -0.5 - anchor,
                         np.where(anchor <= cap, 0.5 * anchor ** 2,
                                  cap * (anchor - 0.5 * cap)))
-
-    def evaluate(self, a, e):
-        return self.utility_values(a, e, self.lam)
-
-    def best_response(self, e, cap):
-        return self.response_interval(e, self.lam, cap)
-
-    def best_value(self, e, cap):
-        return self.max_values(e, self.lam, cap)
 
 
 class QuadraticUtility(UtilitySpec):
@@ -261,19 +255,10 @@ def embed_network(game: NetworkGame) -> GraphonGame:
     )
 
 
-def embed_strategy(s, n: int | None = None,
-                   interval: tuple[float, float] | None = None) -> StepProfile:
-    """The n-step profile taking value s[i] on cell i."""
+def embed_strategy(s) -> StepProfile:
+    """The n-step profile taking value s[i] on cell i, for n = len(s)."""
     s = np.asarray(s, dtype=float)
-    if n is None:
-        n = s.size
-    if s.shape != (n,):
-        raise ValueError(f"expected {n} strategies, got shape {s.shape}")
-    if interval is not None:
-        lo, hi = interval
-        if s.min() < lo - 1e-12 or s.max() > hi + 1e-12:
-            raise ValueError(f"strategy leaves the interval [{lo}, {hi}]")
-    return StepProfile(GridSpec(n), s)
+    return StepProfile(GridSpec(s.size), s)
 
 
 def network_local_aggregate(game: NetworkGame, s) -> np.ndarray:

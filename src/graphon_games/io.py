@@ -1,21 +1,17 @@
-"""CSV and JSON serialization: profiles, step graphons, kernel descriptors,
-game descriptors, and report tables."""
+"""CSV and JSON serialization: profiles, kernel and game descriptors, and
+report tables."""
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
 import json
-import os
 
 import numpy as np
 
 from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile
-from .games import UTILITY_FAMILIES, GraphonGame, NetworkGame, RegretReport, UtilitySpec
+from .games import PARAM_FILE_KEYS, UTILITY_FAMILIES, GraphonGame, RegretReport, UtilitySpec
 from .solver import SolverConfig
-
-# JSON parameter keys per utility family (code name -> file name)
-_PARAM_KEYS = {"lam": "lambda"}
 
 
 def check_keys(d: dict, allowed, what: str, required=(), exact: bool = False) -> None:
@@ -52,29 +48,6 @@ def load_profile_csv(path) -> StepProfile:
     return StepProfile(GridSpec(values.size), values)
 
 
-def save_matrix_csv(path, matrix) -> None:
-    """Row-major, comma separated."""
-    np.savetxt(path, np.asarray(matrix, float), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-
-
-def profile_to_envelope(profile: StepProfile) -> dict:
-    return {"n": profile.grid.n_cells, "values": profile.values.tolist()}
-
-
-def profile_from_envelope(d: dict) -> StepProfile:
-    check_keys(d, ("n", "values"), "profile envelope", required=("n", "values"))
-    values = np.asarray(d["values"], dtype=float)
-    return StepProfile(GridSpec(int(d["n"])), values)
-
-
-def step_graphon_to_envelope(W: StepGraphon) -> dict:
-    return {"n": W.n, "values": W.values.ravel().tolist()}
-
-
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
     """{"values": nested rows} or {"n": n, "values": flat row-major}."""
     check_keys(d, ("n", "values"), "step graphon", required=("values",))
@@ -101,26 +74,16 @@ def graphon_from_descriptor(d: dict) -> Graphon:
     raise ValueError(f"unknown graphon family {family!r}")
 
 
-def graphon_to_descriptor(W: Graphon) -> dict:
-    return W.descriptor()
-
-
 def utility_from_descriptor(d: dict, grid: GridSpec) -> UtilitySpec:
     check_keys(d, ("family", "params"), "utility descriptor", required=("family",))
     family = d["family"]
     if family not in UTILITY_FAMILIES:
         raise ValueError(f"unknown utility family {family!r}; have {sorted(UTILITY_FAMILIES)}")
     cls = UTILITY_FAMILIES[family]
-    names = {_PARAM_KEYS.get(name, name): name for name in cls.param_names}
+    names = {PARAM_FILE_KEYS.get(name, name): name for name in cls.param_names}
     raw = d.get("params", {})
     check_keys(raw, names, f"utility family {family!r}", exact=True)
     return cls.from_values(grid, **{names[key]: v for key, v in raw.items()})
-
-
-def utility_to_descriptor(spec: UtilitySpec) -> dict:
-    desc = spec.descriptor()
-    params = {_PARAM_KEYS.get(k, k): v for k, v in desc["params"].items()}
-    return {"family": desc["family"], "params": params}
 
 
 def game_from_descriptor(d: dict) -> GraphonGame:
@@ -135,27 +98,11 @@ def game_from_descriptor(d: dict) -> GraphonGame:
 
 def game_to_descriptor(game: GraphonGame) -> dict:
     return {
-        "graphon": graphon_to_descriptor(game.graphon),
-        "utility": utility_to_descriptor(game.utilities),
+        "graphon": game.graphon.descriptor(),
+        "utility": game.utilities.descriptor(),
         "L": game.cap,
         "grid_n": game.grid.n_cells,
     }
-
-
-def network_game_from_descriptor(d: dict, base_dir: str = ".") -> NetworkGame:
-    """Like a game descriptor, with the adjacency inline ("adjacency") or in a
-    CSV file ("adjacency_csv", resolved relative to base_dir)."""
-    check_keys(d, ("adjacency", "adjacency_csv", "utility", "L"), "network game descriptor",
-               required=("utility", "L"))
-    if "adjacency" in d:
-        adjacency = np.asarray(d["adjacency"], dtype=float)
-    elif "adjacency_csv" in d:
-        adjacency = load_matrix_csv(os.path.join(base_dir, d["adjacency_csv"]))
-    else:
-        raise ValueError("network game needs 'adjacency' or 'adjacency_csv'")
-    n = adjacency.shape[0]
-    utilities = utility_from_descriptor(d["utility"], GridSpec(n))
-    return NetworkGame(adjacency, utilities, float(d["L"]))
 
 
 def solver_config_from_descriptor(d: dict) -> SolverConfig:

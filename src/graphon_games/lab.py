@@ -90,29 +90,7 @@ class ExperimentPlan:
         Computed once per plan: the plan is frozen, and ``replace`` makes a new
         plan that computes its own.
         """
-        game = self.game
-        if self.equilibrium_source == "resolvent":
-            params = plateau_params(game)
-            if self.source_profile is not None:
-                prof = self.source_profile
-                if prof.grid != game.grid:
-                    prof = prof.average_to(game.grid.n_cells)
-                g = SourceFunction(prof)
-            else:
-                g = SourceFunction.constant(self.source_value, game.grid)
-            profile = equilibrium_from_source(game.graphon, params, g, self.resolvent_tol)
-        else:
-            f0 = io.parse_profile_source(self.solver_init, game.grid, game.cap)
-            profile, trace = solve(game, f0, self.solver)
-            if not trace.converged:
-                raise CertificationError("solver source did not converge on the target game")
-        report = regret_profile(game, profile)
-        if not (report.epsilon_star <= self.certification_tol):
-            raise CertificationError(
-                f"target equilibrium failed certification: epsilon* = "
-                f"{report.epsilon_star:.3g} > {self.certification_tol:.3g}"
-            )
-        return profile, report
+        return _certified_reference(self, _csv_start(self))
 
     @cached_property
     def sequence(self) -> list[tuple[NetworkGame, tuple[float, float]]]:
@@ -124,6 +102,48 @@ class ExperimentPlan:
                    _utility_l1_error(self.game.utilities, net.utilities)))
             for net in build_network_sequence(self.game, self.n_list)
         ]
+
+
+def _csv_start(plan: ExperimentPlan) -> StepProfile | None:
+    """A CSV ``solver_init`` read as a profile on the plan's game grid; None for a
+    constant start."""
+    if plan.solver_init.startswith("const:"):
+        return None
+    return io.parse_profile_source(plan.solver_init, plan.game.grid, plan.game.cap)
+
+
+def _solver_start(plan: ExperimentPlan, csv: StepProfile | None, grid: GridSpec) -> StepProfile:
+    """The solver's start on this grid: the constant ``solver_init``, or the CSV
+    profile's averages on it."""
+    if csv is None:
+        return io.parse_profile_source(plan.solver_init, grid, plan.game.cap)
+    return csv.average_to(grid.n_cells)
+
+
+def _certified_reference(plan: ExperimentPlan,
+                         csv: StepProfile | None) -> tuple[StepProfile, RegretReport]:
+    game = plan.game
+    if plan.equilibrium_source == "resolvent":
+        params = plateau_params(game)
+        if plan.source_profile is not None:
+            prof = plan.source_profile
+            if prof.grid != game.grid:
+                prof = prof.average_to(game.grid.n_cells)
+            g = SourceFunction(prof)
+        else:
+            g = SourceFunction.constant(plan.source_value, game.grid)
+        profile = equilibrium_from_source(game.graphon, params, g, plan.resolvent_tol)
+    else:
+        profile, trace = solve(game, _solver_start(plan, csv, game.grid), plan.solver)
+        if not trace.converged:
+            raise CertificationError("solver source did not converge on the target game")
+    report = regret_profile(game, profile)
+    if not (report.epsilon_star <= plan.certification_tol):
+        raise CertificationError(
+            f"target equilibrium failed certification: epsilon* = "
+            f"{report.epsilon_star:.3g} > {plan.certification_tol:.3g}"
+        )
+    return profile, report
 
 
 def _check_sizes(n_list, n_ref: int) -> None:
@@ -289,7 +309,7 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     """Solve each finite game of the sequence independently, check the solved
     profiles settle toward the largest game's profile (refined to the reference
     grid), and certify that limit in the target graphon game."""
-    result = _limit(plan, plan.reference[0])
+    result = _limit(plan, plan.reference[0], _csv_start(plan))
     if plan.out_dir:
         _write_rows(plan.out_dir, "limit_equilibrium.csv", result.rows)
         io.save_profile_csv(os.path.join(plan.out_dir, "limit_profile.csv"),
@@ -297,20 +317,14 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     return result
 
 
-def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
+def _limit(plan: ExperimentPlan, reference: StepProfile,
+           csv: StepProfile | None) -> LimitResult:
     # a CSV start is a profile on the target grid, averaged onto each network
-    start = None
-    if not plan.solver_init.startswith("const:"):
-        start = io.parse_profile_source(plan.solver_init, plan.game.grid, plan.game.cap)
     solved = []
     skipped = []
     for net, errors in plan.sequence:
         embedded = embed_network(net)
-        if start is None:
-            f0 = io.parse_profile_source(plan.solver_init, embedded.grid, embedded.cap)
-        else:
-            f0 = start.average_to(net.n_players)
-        profile, trace = solve(embedded, f0, plan.solver)
+        profile, trace = solve(embedded, _solver_start(plan, csv, embedded.grid), plan.solver)
         if not trace.converged:
             skipped.append(net.n_players)
             continue
@@ -379,12 +393,15 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
     in the target game, and the two limits must agree in L1.  When the alt grid
     is the game grid, re-gridding is the identity, so the alternate sequence
     shares the target game and its certified reference (one reference solve).
+    A CSV ``solver_init`` is a profile on the target grid; the alternate plan
+    starts from its averages on the alternate grid.
     """
     _check_sizes(plan.alt_n_list, plan.alt_grid)
     reference = plan.reference
+    csv = _csv_start(plan)
     if plan.alt_grid == plan.game.grid.n_cells:
         alt_plan = replace(plan, n_list=plan.alt_n_list)
-        alt_reference = reference
+        alt_reference, alt_csv = reference, csv
     else:
         alt_plan = replace(
             plan,
@@ -393,11 +410,12 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
             source_profile=(plan.source_profile.average_to(plan.alt_grid)
                             if plan.source_profile is not None else None),
         )
-        alt_reference = alt_plan.reference
+        alt_csv = csv.average_to(plan.alt_grid) if csv is not None else None
+        alt_reference = _certified_reference(alt_plan, alt_csv)
     primary_coarsened = _coarsened(plan, reference)
     alt_coarsened = _coarsened(alt_plan, alt_reference)
-    primary_limit = _limit(plan, reference[0])
-    alt_limit = _limit(alt_plan, alt_reference[0])
+    primary_limit = _limit(plan, reference[0], csv)
+    alt_limit = _limit(alt_plan, alt_reference[0], alt_csv)
     cross_l1 = profile_distance(primary_limit.limit_profile, alt_limit.limit_profile, "l1")
     passed = (
         primary_coarsened.passed and alt_coarsened.passed

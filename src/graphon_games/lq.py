@@ -1,6 +1,5 @@
-"""The plateau linear-quadratic game: closed-form utility and best response,
-the resolvent equilibrium constructor s_g, its certification, and the
-injection (multiplicity) check."""
+"""The plateau linear-quadratic game: its parameters, the resolvent equilibrium
+constructor s_g, its certification, and the injection (multiplicity) check."""
 
 from __future__ import annotations
 
@@ -90,23 +89,6 @@ class SourceFunction:
     @property
     def grid(self) -> GridSpec:
         return self.profile.grid
-
-
-def lq_utility(a: float, e: float, params: LQParams) -> float:
-    """Three-branch plateau utility: quadratic below lam*e, flat up to lam*e + 1,
-    quadratic above; continuous at both branch boundaries."""
-    out = PlateauUtility.utility_values(a, e, params.lam)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def lq_best_response(e: float, params: LQParams) -> tuple[float, float]:
-    """Best-response set under aggregate e, as a closed interval [lo, hi].
-
-    {0} if lam*e + 1 < 0 (unreachable for lam, e >= 0, kept for totality),
-    {cap} if cap < lam*e, else [lam*e, lam*e + 1] ∩ [0, cap].
-    """
-    lo, hi = PlateauUtility.response_interval(e, params.lam, params.cap)
-    return float(lo), float(hi)
 
 
 def plateau_params(game: GraphonGame) -> LQParams:

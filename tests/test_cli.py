@@ -70,6 +70,15 @@ class TestLQSolveCommand:
         ])
         assert not out.exists()
 
+    def test_oversized_grid_is_refused_before_it_allocates(self, workspace, capsys):
+        # the step approximation on 8193 cells would be a 512 MiB N x N matrix
+        out = workspace / "s.csv"
+        assert_input_error(capsys, "8193 x 8193 kernel matrix exceeds the cap", [
+            "lq", "solve", "--graphon", str(workspace / "graphon.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "8193", "--g", "const:1", "--out", str(out),
+        ])
+        assert not out.exists()
+
     def test_contraction_violation_is_an_input_error(self, workspace, capsys):
         io.save_json(workspace / "c1.json", {"family": "constant", "params": {"c": 1.0}})
         out = workspace / "s.csv"
@@ -211,6 +220,23 @@ class TestLabRunCommand:
             "experiment": "limit",
             "game": json.loads((workspace / "game.json").read_text()),
             "n_list": [8, 16, 32, 64],
+            "solver_init": "init.csv",
+        })
+        assert main(["lab", "run", "--plan", str(workspace / "plan.json"),
+                     "--out", str(workspace / "results")]) == 0
+        assert json.loads((workspace / "results" / "summary.json").read_text())["passed"]
+
+    def test_csv_solver_init_on_a_different_alternate_grid(self, workspace):
+        # the CSV is a profile on the 64-cell target grid; the alternate plan on 96
+        # cells starts its reference and its networks from the CSV's averages
+        io.save_profile_csv(workspace / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
+        io.save_json(workspace / "plan.json", {
+            "experiment": "characterization",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            "alt_n_list": [12, 24, 48, 96],
+            "alt_grid": 96,
+            "equilibrium_source": "solver",
             "solver_init": "init.csv",
         })
         assert main(["lab", "run", "--plan", str(workspace / "plan.json"),

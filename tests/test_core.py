@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from graphon_games.core import (
     GridCompatibilityError,
     GridSpec,
     KernelOperator,
+    MAX_GRID_CELLS,
     ProductGraphon,
     SeparableGraphon,
     SeparablePowerGraphon,
@@ -73,6 +75,21 @@ class TestStepProfile:
         # incommensurate grids go through the common refinement
         q = StepProfile(GridSpec(2), [0.0, 1.0]).average_to(3)
         np.testing.assert_allclose(q.values, [0.0, 0.5, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=24),
+           k=st.integers(1, 8), m=st.integers(1, 48))
+    def test_refine_and_average_to_round_trips(self, values, k, m):
+        p = StepProfile(GridSpec(len(values)), values)
+        n = p.grid.n_cells
+        fine = p.refine(n * k)
+        # averaging onto a multiple of the grid is refinement, bit for bit
+        np.testing.assert_array_equal(p.average_to(n * k).values, fine.values)
+        # averaging back takes means of k equal values, so it recovers the profile
+        np.testing.assert_allclose(fine.average_to(n).values, p.values, rtol=1e-14, atol=0)
+        # averaging onto any grid keeps the integral
+        assert p.average_to(m).values.mean() == pytest.approx(p.values.mean(), rel=1e-12,
+                                                               abs=1e-9)
 
     def test_length_validated(self):
         with pytest.raises(ValueError):
@@ -242,15 +259,11 @@ class TestLocalAggregate:
         e = local_aggregate(StepGraphon(V), StepProfile(GridSpec(6), fvals))
         np.testing.assert_array_equal(e.values, V @ fvals / 6)
 
-    def test_mixed_resolution_refines_to_common_grid(self):
+    def test_step_resolution_must_divide_the_profile_grid(self):
+        # as in a game, a 2-step kernel has no aggregate on the 3-cell grid
         W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])
-        f = StepProfile(GridSpec(3), [1.0, 2.0, 3.0])
-        e = local_aggregate(W, f)
-        assert e.grid.n_cells == 6
-        # oracle: exact integral of the step kernel against the step profile
-        V6 = np.repeat(np.repeat(W.values, 3, 0), 3, 1)
-        f6 = np.repeat(f.values, 2)
-        np.testing.assert_array_equal(e.values, V6 @ f6 / 6)
+        with pytest.raises(GridCompatibilityError, match="resolution 2 must divide the game grid 3"):
+            local_aggregate(W, StepProfile(GridSpec(3), [1.0, 2.0, 3.0]))
 
     def test_refinement_cap(self):
         W = StepGraphon(np.zeros((4999, 4999)))
@@ -321,12 +334,19 @@ class TestResolvent:
         np.testing.assert_allclose(kernel.gamma, c / (1 - lam * c), atol=1e-9)
 
     def test_separable_power_closed_form_kernel(self):
-        # Gamma = (2 / (2 - lam)) t^a s^(1-a); exact at midpoints with m = 1
-        grid = GridSpec(128)
-        mids = grid.midpoints()
-        kernel = resolvent(SeparablePowerGraphon(0.5), 0.5, grid, tol=1e-10, m=1)
-        expected = (2.0 / 1.5) * np.sqrt(mids[:, None] * mids[None, :])
-        np.testing.assert_allclose(kernel.gamma, expected, rtol=1e-9)
+        # on the grid, the rank-1 step kernel ā b̄ᵀ has the geometric resolvent
+        # ā b̄ᵀ / (1 - lam <b̄, ā> / N), up to the truncation tail
+        W, lam, n = SeparablePowerGraphon(0.5), 0.5, 128
+        kernel = resolvent(W, lam, GridSpec(n), tol=1e-10)
+        abar, bbar = _factor_averages(W, n)
+        expected = np.outer(abar, bbar) / (1.0 - lam * (bbar @ abar) / n)
+        np.testing.assert_allclose(kernel.gamma, expected, rtol=0, atol=1e-10)
+        # and away from the t = 0 corner it is the continuum kernel
+        # Gamma = (2 / (2 - lam)) t^a s^(1-a)
+        mids = GridSpec(n).midpoints()
+        continuum = (2.0 / (2.0 - lam)) * np.sqrt(mids[:, None] * mids[None, :])
+        interior = np.ix_(mids >= 0.25, mids >= 0.25)
+        assert (np.abs(kernel.gamma - continuum) / continuum)[interior].max() <= 1e-2
 
     def test_contraction_rejected_with_diagnostic(self):
         with pytest.raises(ContractionError, match="1.2"):
@@ -383,6 +403,33 @@ class TestResolvent:
             for k in range(1, kernel.truncation_order + 1)
         )
         np.testing.assert_allclose(kernel.gamma, manual, atol=1e-12)
+
+
+class TestMatrixSizeCap:
+    def test_resolvent_is_refused_before_it_allocates(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCompatibilityError, match="8193 x 8193"):
+                resolvent(SeparablePowerGraphon(0.5), 0.5, GridSpec(8193), 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_every_n_by_n_matrix_is_capped(self):
+        n = MAX_GRID_CELLS + 1
+        refused = [
+            lambda: step_approximation(StepGraphon([[0.5]]), n),
+            lambda: KernelOperator(ProductGraphon(), GridSpec(n)).dense(),
+            lambda: iterated_kernel(ConstantGraphon(0.5), 2, GridSpec(n)),
+            lambda: graphon_l1_distance(ProductGraphon(), ConstantGraphon(0.5), resolution=n),
+        ]
+        for call in refused:
+            with pytest.raises(GridCompatibilityError, match=f"cap of {MAX_GRID_CELLS} cells"):
+                call()
+        # the operator itself needs no N x N matrix, so it is not capped
+        e = KernelOperator(ProductGraphon(), GridSpec(n)).apply(np.ones(n))
+        assert e.shape == (n,)
 
 
 class TestGraphonL1Distance:

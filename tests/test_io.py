@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_games import io, lab
 from graphon_games.core import (
@@ -10,7 +14,14 @@ from graphon_games.core import (
     StepGraphon,
     StepProfile,
 )
-from graphon_games.games import PlateauUtility, QuadraticUtility, regret_profile
+from graphon_games.games import (
+    UTILITY_FAMILIES,
+    NetworkGame,
+    PlateauUtility,
+    QuadraticUtility,
+    embed_network,
+    regret_profile,
+)
 from graphon_games.lq import LQParams, lq_game
 
 
@@ -29,29 +40,15 @@ class TestProfileRoundTrips:
         io.save_profile_csv(path, StepProfile.constant(2.0, GridSpec(1)))
         assert io.load_profile_csv(path).grid.n_cells == 1
 
-    def test_json_envelope(self):
-        profile = StepProfile(GridSpec(3), [1.0, 2.0, 3.0])
-        env = io.profile_to_envelope(profile)
-        assert env == {"n": 3, "values": [1.0, 2.0, 3.0]}
-        back = io.profile_from_envelope(env)
-        np.testing.assert_array_equal(back.values, profile.values)
-
 
 class TestStepGraphonRoundTrips:
-    def test_matrix_csv(self, tmp_path):
-        path = tmp_path / "w.csv"
-        rng = np.random.default_rng(50)
-        values = rng.random((4, 4))
-        io.save_matrix_csv(path, values)
-        np.testing.assert_array_equal(io.load_matrix_csv(path), values)
-
     def test_json_envelope_flat_and_nested(self):
         W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])
-        env = io.step_graphon_to_envelope(W)
-        assert env["n"] == 2 and env["values"] == [0.0, 1.0, 0.5, 0.25]
-        np.testing.assert_array_equal(io.step_graphon_from_envelope(env).values, W.values)
+        flat = {"n": 2, "values": [0.0, 1.0, 0.5, 0.25]}
+        np.testing.assert_array_equal(io.step_graphon_from_envelope(flat).values, W.values)
         nested = {"n": 2, "values": [[0.0, 1.0], [0.5, 0.25]]}
         np.testing.assert_array_equal(io.step_graphon_from_envelope(nested).values, W.values)
+        assert W.descriptor()["params"] == nested
 
 
 class TestGraphonDescriptors:
@@ -62,7 +59,7 @@ class TestGraphonDescriptors:
         StepGraphon([[0.1, 0.9], [0.4, 0.6]]),
     ])
     def test_round_trip(self, W):
-        back = io.graphon_from_descriptor(io.graphon_to_descriptor(W))
+        back = io.graphon_from_descriptor(W.descriptor())
         assert type(back) is type(W)
         pts = np.array([0.2, 0.7])
         np.testing.assert_array_equal(
@@ -111,9 +108,9 @@ class TestUnknownKeys:
         (lambda d: io.utility_from_descriptor(d, GridSpec(2)),
          {"family": "plateau_lq", "params": {"lambda": 0.5}, "L": 4.0}, "utility descriptor"),
         (io.game_from_descriptor, {**GAME, "grid": 4}, "game descriptor"),
-        (io.network_game_from_descriptor, {**GAME, "adjacency": [[0.5]]},
-         "network game descriptor"),
-        (io.profile_from_envelope, {"n": 1, "values": [1.0], "grid": 1}, "profile envelope"),
+        (io.step_graphon_from_envelope, {"n": 1, "values": [0.5], "rows": 1}, "step graphon"),
+        (lambda d: lab.plan_from_descriptor(d), {"game": GAME, "eps_tolerence": 1.0},
+         "plan file"),
         (io.solver_config_from_descriptor, {"damping": 0.5, "tol": 1e-9}, "solver config"),
     ])
     def test_reader_rejects_unknown_key(self, read, d, what):
@@ -126,9 +123,10 @@ class TestUnknownKeys:
          {"params": {"lambda": 0.5}}, "utility descriptor", "family"),
         (io.game_from_descriptor, {k: v for k, v in GAME.items() if k != "L"},
          "game descriptor", "L"),
-        (io.network_game_from_descriptor, {"adjacency": [[0.5]], "L": 4.0},
-         "network game descriptor", "utility"),
-        (io.profile_from_envelope, {"values": [1.0]}, "profile envelope", "n"),
+        (io.game_from_descriptor, {k: v for k, v in GAME.items() if k != "grid_n"},
+         "game descriptor", "grid_n"),
+        (io.graphon_from_descriptor, {"family": "block", "params": {"n": 1}},
+         "step graphon", "values"),
         (io.step_graphon_from_envelope, {"n": 1}, "step graphon", "values"),
         (io.step_graphon_from_envelope, {"values": [0.5]}, "step graphon with flat values", "n"),
         (lambda d: lab.plan_from_descriptor(d), {"n_list": [1]}, "plan file", "game"),
@@ -151,8 +149,7 @@ class TestUtilityDescriptors:
         )
         assert isinstance(spec, PlateauUtility)
         np.testing.assert_array_equal(spec.lam, 0.5)
-        assert io.utility_to_descriptor(spec) == {"family": "plateau_lq",
-                                                  "params": {"lambda": 0.5}}
+        assert spec.descriptor() == {"family": "plateau_lq", "params": {"lambda": 0.5}}
 
     def test_vector_parameters(self):
         grid = GridSpec(2)
@@ -160,13 +157,31 @@ class TestUtilityDescriptors:
             {"family": "quadratic", "params": {"beta": [1.0, 2.0], "delta": 0.5}}, grid
         )
         assert isinstance(spec, QuadraticUtility)
-        desc = io.utility_to_descriptor(spec)
+        desc = spec.descriptor()
         assert desc["params"]["beta"] == [1.0, 2.0]
         assert desc["params"]["delta"] == 0.5
 
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="lambda"):
             io.utility_from_descriptor({"family": "plateau_lq", "params": {}}, GridSpec(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(UTILITY_FAMILIES)), n=st.integers(1, 8),
+           data=st.data())
+    def test_descriptor_reads_back(self, family, n, data):
+        # each parameter is one number for all agents, or one number per agent
+        value = st.floats(-10.0, 10.0)
+        cls = UTILITY_FAMILIES[family]
+        spec = cls.from_values(GridSpec(n), **{
+            name: data.draw(st.one_of(value, st.lists(value, min_size=n, max_size=n)),
+                            label=name)
+            for name in cls.param_names
+        })
+        desc = json.loads(json.dumps(spec.descriptor()))
+        back = io.utility_from_descriptor(desc, GridSpec(n))
+        assert type(back) is cls and back.descriptor() == desc
+        for name in cls.param_names:
+            np.testing.assert_array_equal(back.params[name].values, spec.params[name].values)
 
 
 class TestGameDescriptors:
@@ -183,26 +198,21 @@ class TestGameDescriptors:
         assert io.game_to_descriptor(game) == self.DESCRIPTOR
 
     def test_network_game_inline_adjacency(self):
-        net = io.network_game_from_descriptor({
-            "adjacency": [[0.0, 1.0], [1.0, 0.0]],
+        # a network game is written as the step-game descriptor of its embedding,
+        # its adjacency inline as the step kernel's values
+        net = NetworkGame([[0.0, 1.0], [1.0, 0.0]],
+                          PlateauUtility.from_values(GridSpec(2), lam=0.5), 4.0)
+        desc = io.game_to_descriptor(embed_network(net))
+        assert desc == {
+            "graphon": {"family": "step", "params": {"n": 2, "values": [[0.0, 1.0], [1.0, 0.0]]}},
             "utility": {"family": "plateau_lq", "params": {"lambda": 0.5}},
             "L": 4.0,
-        })
-        assert net.n_players == 2
-
-    def test_network_game_adjacency_csv(self, tmp_path):
-        io.save_matrix_csv(tmp_path / "adj.csv", np.eye(3) * 0.5)
-        net = io.network_game_from_descriptor(
-            {
-                "adjacency_csv": "adj.csv",
-                "utility": {"family": "quadratic", "params": {"beta": 1.0, "delta": 0.0}},
-                "L": 2.0,
-            },
-            base_dir=str(tmp_path),
-        )
-        assert net.n_players == 3
-        with pytest.raises(ValueError):
-            io.network_game_from_descriptor({"utility": {}, "L": 1.0})
+            "grid_n": 2,
+        }
+        game = io.game_from_descriptor(json.loads(json.dumps(desc)))
+        s = np.array([1.5, 3.0])
+        np.testing.assert_array_equal(regret_profile(game, s).regrets.values,
+                                      regret_profile(net, s).regrets.values)
 
 
 class TestReportTables:

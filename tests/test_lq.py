@@ -18,16 +18,25 @@ from graphon_games.core import (
     resolvent,
     step_approximation,
 )
-from graphon_games.games import golden_section_max
+from graphon_games.games import PlateauUtility, golden_section_max
 from graphon_games.lq import (
     LQParams,
     SourceFunction,
     equilibrium_from_source,
     injection_check,
-    lq_best_response,
-    lq_utility,
     verify_equilibrium,
 )
+
+
+def plateau_utility(a, e, lam):
+    """u(a, e) of one agent of the plateau family with this lam."""
+    return PlateauUtility.from_values(GridSpec(1), lam=lam).evaluate(a, e).item()
+
+
+def plateau_response(e, lam, cap):
+    """The best-response interval (lo, hi) of one agent of the plateau family."""
+    lo, hi = PlateauUtility.from_values(GridSpec(1), lam=lam).best_response(e, cap)
+    return lo.item(), hi.item()
 
 
 def random_setup(rng, n=32, tight=0.9):
@@ -86,15 +95,15 @@ class TestSourceFunction:
 
 class TestLQUtility:
     def test_origin(self):
-        assert lq_utility(0.0, 0.0, LQParams(0.9, 4.0)) == 0.0
+        assert plateau_utility(0.0, 0.0, 0.9) == 0.0
 
     def test_flat_branch_value(self):
         # lam*e = 1 <= a = 1.5 <= 2, so the value is (lam*e)^2 / 2 = 0.5
-        assert lq_utility(1.5, 2.0, LQParams(0.5, 4.0)) == pytest.approx(0.5)
+        assert plateau_utility(1.5, 2.0, 0.5) == pytest.approx(0.5)
 
     def test_upper_branch_value(self):
         # a = 3 > lam*e + 1 = 2: -(3-1)^2/2 + 1*(3-1) = 0
-        assert lq_utility(3.0, 2.0, LQParams(0.5, 4.0)) == pytest.approx(0.0)
+        assert plateau_utility(3.0, 2.0, 0.5) == pytest.approx(0.0)
 
     def test_continuity_at_branch_boundaries(self):
         rng = np.random.default_rng(20)
@@ -106,29 +115,27 @@ class TestLQUtility:
             above = -0.5 * anchor ** 2 + anchor * anchor
             assert abs(below - flat) <= 1e-12
             assert abs(flat - above) <= 1e-12
-            params = LQParams(lam, anchor + 2.0)
             # the implementation agrees with the flat value at both boundaries
-            assert abs(lq_utility(anchor, e, params) - flat) <= 1e-12
-            assert abs(lq_utility(anchor + 1.0, e, params) - flat) <= 1e-12
+            assert abs(plateau_utility(anchor, e, lam) - flat) <= 1e-12
+            assert abs(plateau_utility(anchor + 1.0, e, lam) - flat) <= 1e-12
 
 
 class TestLQBestResponse:
     def test_plateau(self):
-        assert lq_best_response(2.0, LQParams(0.5, 10.0)) == (1.0, 2.0)
+        assert plateau_response(2.0, 0.5, 10.0) == (1.0, 2.0)
 
     def test_zero_aggregate(self):
-        assert lq_best_response(0.0, LQParams(0.7, 5.0)) == (0.0, 1.0)
+        assert plateau_response(0.0, 0.7, 5.0) == (0.0, 1.0)
 
     def test_cap_binds(self):
-        assert lq_best_response(30.0, LQParams(0.5, 10.0)) == (10.0, 10.0)
+        assert plateau_response(30.0, 0.5, 10.0) == (10.0, 10.0)
 
     def test_golden_section_lands_in_the_response_set(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             lam, e, cap = rng.uniform(0, 1.5), rng.uniform(0, 4), rng.uniform(0.5, 8)
-            params = LQParams(lam, cap)
-            lo, hi = lq_best_response(e, params)
-            x, _ = golden_section_max(lambda a: lq_utility(a, e, params), 0.0, cap)
+            lo, hi = plateau_response(e, lam, cap)
+            x, _ = golden_section_max(lambda a: plateau_utility(a, e, lam), 0.0, cap)
             assert lo - 1e-6 <= float(x) <= hi + 1e-6
 
 
@@ -187,9 +194,9 @@ class TestEquilibriumFromSource:
     def test_truncated_resolvent_fails_the_residual_certificate(self, monkeypatch):
         # Gamma cut to its first term W_1 misses the Fredholm equation by about
         # lam^2 * c^2, far above 10 * tol
-        def first_term_only(W, lam, grid, tol, m=4):
-            full = resolvent(W, lam, grid, tol, m)
-            return dataclasses.replace(full, gamma=step_approximation(W, grid.n_cells, m).values)
+        def first_term_only(W, lam, grid, tol):
+            full = resolvent(W, lam, grid, tol)
+            return dataclasses.replace(full, gamma=step_approximation(W, grid.n_cells).values)
 
         monkeypatch.setattr(lq, "resolvent", first_term_only)
         with pytest.raises(ArithmeticError, match="residual"):
@@ -312,14 +319,14 @@ class TestInjectionCheck:
         assert distance == pytest.approx(1.0 / (1.0 - lam * c), abs=1e-7)
         assert distance >= 1.0 / (1.0 + lam * c)
 
-    def test_lower_bound_on_random_setups(self):
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            W, params, g1, g2 = random_setup(rng)
-            passed, distance = injection_check(W, params, g1, g2)
-            assert passed
-            bound = np.abs(g1.values - g2.values).mean() / (1 + params.lam * W.sup_norm())
-            assert distance >= bound - 1e-6
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 48), seed=st.integers(0, 2 ** 32 - 1), tight=st.floats(0.15, 0.95))
+    def test_lower_bound_on_random_setups(self, n, seed, tight):
+        W, params, g1, g2 = random_setup(np.random.default_rng(seed), n, tight)
+        passed, distance = injection_check(W, params, g1, g2)
+        assert passed
+        bound = np.abs(g1.values - g2.values).mean() / (1 + params.lam * W.sup_norm())
+        assert distance >= bound - 1e-6
 
     def test_grid_mismatch_rejected(self):
         g1 = SourceFunction.constant(1.0, GridSpec(8))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_games import core
 from graphon_games.core import (
@@ -92,21 +94,23 @@ class TestBestResponseMap:
         twice = best_response_map(game, once)
         np.testing.assert_array_equal(once.values, twice.values)
 
-    def test_selection_always_in_the_response_set(self):
-        rng = np.random.default_rng(30)
-        for _ in range(20):
-            n = 8
-            grid = GridSpec(n)
-            game = GraphonGame(StepGraphon(rng.random((n, n))),
-                               PlateauUtility.from_values(grid, lam=rng.uniform(0, 1, n)),
-                               4.0, grid)
-            f = StepProfile(grid, rng.uniform(0, 4, n))
-            agg = regret_profile(game, f).aggregate.values
-            lo, hi = game.utilities.best_response(agg, game.cap)
-            for rule in ("nearest-point", "interval-midpoint", "lower-endpoint"):
-                out = best_response_map(game, f, rule=rule)
-                assert np.all(out.values >= lo - 1e-12)
-                assert np.all(out.values <= hi + 1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           lam_max=st.floats(0.0, 1.5), cap=st.floats(0.5, 8.0))
+    def test_selection_always_in_the_response_set(self, n, seed, lam_max, cap):
+        # lam * e may exceed the cap, so the response set can be the single point {cap}
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(n)
+        game = GraphonGame(StepGraphon(rng.random((n, n))),
+                           PlateauUtility.from_values(grid, lam=rng.uniform(0, lam_max, n)),
+                           cap, grid)
+        f = StepProfile(grid, rng.uniform(0, cap, n))
+        agg = regret_profile(game, f).aggregate.values
+        lo, hi = game.utilities.best_response(agg, game.cap)
+        for rule in ("nearest-point", "interval-midpoint", "lower-endpoint"):
+            out = best_response_map(game, f, rule=rule)
+            assert np.all(out.values >= lo - 1e-12)
+            assert np.all(out.values <= hi + 1e-12)
 
 
 class TestSolve:
