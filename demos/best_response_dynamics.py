@@ -34,7 +34,7 @@ print(f"community strategies: {profile.values[0]:.4f} (dense) "
       f"and {profile.values[-1]:.4f} (sparse)")
 
 print()
-print("== step sizes contract geometrically ==")
+print("== sup-norm step sizes ==")
 for i in (0, 1, 2, len(trace.step_sizes) - 1):
     print(f"iteration {i + 1:3d}: sup-norm step {trace.step_sizes[i]:.3e}")
 

@@ -8,6 +8,7 @@ cell-average quadratures.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -16,6 +17,42 @@ import numpy as np
 
 DEFAULT_QUADRATURE = 4  # sub-samples per axis when averaging analytic kernels
 MAX_GRID_CELLS = 8192   # cap on the cells per axis of an N x N matrix or a common refinement
+
+
+# N x N arrays the package built and froze itself, by id: shared, never copied
+_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make a float array the package just built read-only and record it as shareable."""
+    arr.flags.writeable = False
+    _FROZEN[id(arr)] = arr
+    return arr
+
+
+def _shared(values) -> np.ndarray:
+    """A read-only float array the package may share by reference.
+
+    An array the package froze itself is returned as is.  Anything else is
+    copied once and frozen, read-only caller arrays included: a locked view of
+    a writable base (``np.broadcast_to`` of a writable row, say) still changes
+    under its base.
+    """
+    if isinstance(values, np.ndarray) and _FROZEN.get(id(values)) is values:
+        return values
+    return _freeze(np.array(values, dtype=float))
+
+
+def _check_unit_matrix(vals: np.ndarray, what: str) -> None:
+    """Reject a non-square matrix or an entry that is not finite or not in [0, 1],
+    with no temporary as large as the matrix (min and max propagate NaN)."""
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {vals.shape}")
+    lo, hi = vals.min(), vals.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{what} entries must be finite")
+    if lo < -1e-12 or hi > 1.0 + 1e-12:
+        raise ValueError(f"{what} entries must lie in [0, 1]")
 
 
 class GridCompatibilityError(ValueError):
@@ -223,14 +260,8 @@ class StepGraphon(Graphon):
     family = "step"
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"step graphon needs a square matrix, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("step graphon entries must be finite")
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
-            raise ValueError("step graphon entries must lie in [0, 1]")
-        vals.flags.writeable = False  # step_approximation(W, W.n) returns W itself
+        vals = _shared(self.values)  # step_approximation(W, W.n) returns W itself
+        _check_unit_matrix(vals, "step graphon")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -292,9 +323,11 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
     _check_matrix_cells(n)
     if isinstance(W, StepGraphon):
         weights = _overlap_weights(n, W.n)
-        return StepGraphon(np.clip(weights @ W.values @ weights.T, 0.0, 1.0))
-    abar, bbar = _factor_averages(W, n, m)
-    return StepGraphon(np.clip(np.outer(abar, bbar), 0.0, 1.0))
+        values = weights @ W.values @ weights.T
+    else:
+        abar, bbar = _factor_averages(W, n, m)
+        values = np.outer(abar, bbar)
+    return StepGraphon(_freeze(np.clip(values, 0.0, 1.0, out=values)))
 
 
 def _factor_averages(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE):
@@ -377,10 +410,10 @@ def iterated_kernel(W: Graphon, n: int, grid: GridSpec,
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     wbar = step_approximation(W, grid.n_cells, m).values
-    kernel = wbar.copy()
+    kernel = wbar.copy() if n == 1 else wbar  # clipped in place below; wbar is shared
     for _ in range(n - 1):
         kernel = wbar @ kernel / grid.n_cells
-    return StepGraphon(np.clip(kernel, 0.0, 1.0))
+    return StepGraphon(_freeze(np.clip(kernel, 0.0, 1.0, out=kernel)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,7 +477,7 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKe
     for _ in range(order - 1):
         term = lam * (wbar @ term) / n
         gamma = gamma + term
-    return ResolventKernel(grid, gamma, lam, order, tail(order), c)
+    return ResolventKernel(grid, _freeze(gamma), lam, order, tail(order), c)
 
 
 def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None) -> float:

@@ -14,6 +14,8 @@ from .core import (
     StepProfile,
     Graphon,
     StepGraphon,
+    _check_unit_matrix,
+    _shared,
     check_step_resolution,
 )
 
@@ -222,13 +224,8 @@ class NetworkGame:
     cap: float
 
     def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=float)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if not np.isfinite(adj).all():
-            raise ValueError("adjacency entries must be finite")
-        if adj.min() < -1e-12 or adj.max() > 1.0 + 1e-12:
-            raise ValueError("adjacency entries must lie in [0, 1] so the step embedding is a graphon")
+        adj = _shared(self.adjacency)  # read-only, so embed_network shares it
+        _check_unit_matrix(adj, "adjacency")  # so the step embedding is a graphon
         if not 0.0 < self.cap < np.inf:
             raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
         if self.utilities.grid.n_cells != adj.shape[0]:

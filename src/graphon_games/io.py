@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile
+from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile, _freeze
 from .games import PARAM_FILE_KEYS, UTILITY_FAMILIES, GraphonGame, RegretReport, UtilitySpec
 from .solver import SolverConfig
 
@@ -51,11 +51,11 @@ def load_profile_csv(path) -> StepProfile:
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
     """{"values": nested rows} or {"n": n, "values": flat row-major}."""
     check_keys(d, ("n", "values"), "step graphon", required=("values",))
-    values = np.asarray(d["values"], dtype=float)
+    values = np.array(d["values"], dtype=float)  # a new array, so the graphon adopts it
     if values.ndim == 1:
         check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
         values = values.reshape((int(d["n"]),) * 2)
-    return StepGraphon(values)
+    return StepGraphon(_freeze(values))
 
 
 def graphon_from_descriptor(d: dict) -> Graphon:

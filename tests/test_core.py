@@ -192,6 +192,38 @@ class TestStepApproximation:
         with pytest.raises(ValueError):
             W.values[0, 0] = 0.75
 
+    def test_analytic_result_is_the_only_n_by_n_allocation(self):
+        # clipped in place and adopted by the StepGraphon: no second 32 MiB matrix
+        tracemalloc.start()
+        try:
+            W = step_approximation(SeparablePowerGraphon(0.5), 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert W.values.nbytes == 32 * 2 ** 20
+        assert peak <= 1.1 * W.values.nbytes
+
+    def test_package_matrices_are_shared_not_copied(self):
+        W = step_approximation(ProductGraphon(), 8)
+        assert StepGraphon(W.values).values is W.values
+        refined = step_approximation(StepGraphon([[0.0, 1.0], [0.5, 0.25]]), 4)
+        assert StepGraphon(refined.values).values is refined.values
+
+    def test_caller_arrays_are_copied_once(self):
+        base = np.array([[0.0, 1.0], [0.5, 0.25]])
+        locked = base.view()
+        locked.flags.writeable = False
+        row = np.array([0.5, 0.25])
+        for values, source in ((base, base), (locked, base),
+                               (np.broadcast_to(row, (2, 2)), row)):
+            before = np.array(values)
+            W = StepGraphon(values)
+            assert not np.shares_memory(W.values, source)
+            assert not W.values.flags.writeable
+            source[...] = 0.75
+            np.testing.assert_array_equal(W.values, before)
+            source[...] = before if source is base else before[0]
+
     def test_step_refinement_and_coarsening_exact(self):
         W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])
         fine = step_approximation(W, 4)
@@ -326,6 +358,14 @@ class TestResolvent:
         np.testing.assert_array_equal(
             kernel.gamma, step_approximation(ProductGraphon(), 16).values
         )
+
+    def test_gamma_is_read_only(self):
+        grid = GridSpec(8)
+        kernel = resolvent(ProductGraphon(), 0.5, grid, tol=1e-10)
+        before = kernel.apply(np.ones(8)).values
+        with pytest.raises(ValueError):
+            kernel.gamma[0, 0] = 1.0
+        np.testing.assert_array_equal(kernel.apply(np.ones(8)).values, before)
 
     def test_constant_kernel_geometric_series(self):
         # oracle: the scalar fixed point gamma = c + lam*c*gamma, i.e. c/(1 - lam*c)

@@ -154,6 +154,31 @@ class TestGameRecords:
             with pytest.raises(ValueError, match="finite"):
                 NetworkGame(np.array([[bad, 0.2], [0.1, 0.3]]), util, 4.0)
 
+    def test_adjacency_is_read_only(self):
+        util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
+        net = NetworkGame(np.array([[0.0, 1.0], [0.5, 0.25]]), util, 4.0)
+        for bad in (0.9, np.nan):
+            with pytest.raises(ValueError):
+                net.adjacency[0, 0] = bad
+        np.testing.assert_array_equal(net.adjacency, [[0.0, 1.0], [0.5, 0.25]])
+        np.testing.assert_array_equal(embed_network(net).graphon.values, net.adjacency)
+
+    def test_caller_adjacency_is_copied_once(self):
+        util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
+        base = np.array([[0.0, 1.0], [0.5, 0.25]])
+        locked = base.view()
+        locked.flags.writeable = False
+        row = np.array([0.5, 0.25])
+        for adjacency, source in ((base, base), (locked, base),
+                                  (np.broadcast_to(row, (2, 2)), row)):
+            before = np.array(adjacency)
+            net = NetworkGame(adjacency, util, 4.0)
+            assert not np.shares_memory(net.adjacency, source)
+            source[...] = 0.75
+            np.testing.assert_array_equal(net.adjacency, before)
+            np.testing.assert_array_equal(embed_network(net).graphon.values, before)
+            source[...] = before if source is base else before[0]
+
 
 class TestEmbeddings:
     def test_embed_network_step_kernel(self):
@@ -162,6 +187,11 @@ class TestEmbeddings:
         game = embed_network(net)
         assert game.graphon.evaluate(0.3, 0.8) == 1.0
         assert game.cap == 4.0
+
+    def test_embedding_shares_the_adjacency(self):
+        rng = np.random.default_rng(3)
+        net = random_network(rng, n=16)
+        assert np.shares_memory(embed_network(net).graphon.values, net.adjacency)
 
     def test_embed_single_node(self):
         util = PlateauUtility.from_values(GridSpec(1), lam=0.0)
