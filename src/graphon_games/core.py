@@ -8,6 +8,7 @@ cell-average quadratures.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -53,6 +54,16 @@ def _check_unit_matrix(vals: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} entries must be finite")
     if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise ValueError(f"{what} entries must lie in [0, 1]")
+
+
+def check_threshold(value, what: str, positive: bool = False) -> None:
+    """Reject a tolerance or threshold that is not a finite real number >= 0
+    (> 0 with ``positive``); a bool or a string is not a number, and NaN fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and {'> 0' if positive else '>= 0'}, "
+                         f"got {value!r}")
 
 
 class GridCompatibilityError(ValueError):
@@ -129,24 +140,35 @@ class StepProfile:
 
 
 def _common_cells(n1: int, n2: int) -> int:
-    """Size of the common refinement of an n1- and an n2-cell grid, within the cap."""
+    """Size of the common refinement of an n1- and an n2-cell grid.  One finer
+    than both grids is refused above the cap; when one grid divides the other,
+    the refinement is the finer of the two, which the data already spans."""
     common = math.lcm(n1, n2)
-    if common > MAX_GRID_CELLS:
+    if common > max(n1, n2, MAX_GRID_CELLS):
         raise GridCompatibilityError(
             f"grids {n1} and {n2} need {common} cells in common (cap {MAX_GRID_CELLS})"
         )
     return common
 
 
-def regrid_step_values(values: np.ndarray, n_cells: int) -> np.ndarray:
-    """Cell averages of a step vector on a (possibly incommensurate) uniform grid."""
+def regrid_step_values(values: np.ndarray, n_cells: int, axis: int = 0) -> np.ndarray:
+    """Exact cell averages of step data on another uniform grid, along one axis.
+
+    Each cell is repeated onto the common refinement, which then takes block
+    means; a refinement is the repeat alone and a coarsening the block means
+    alone.  Data already on the grid comes back unchanged.
+    """
     values = np.asarray(values, dtype=float)
-    n = values.size
+    n = values.shape[axis]
     if n_cells == n:
-        return values.copy()
+        return values
     common = _common_cells(n, n_cells)
-    refined = np.repeat(values, common // n)
-    return refined.reshape(n_cells, common // n_cells).mean(axis=1)
+    if common > n:
+        values = np.repeat(values, common // n, axis=axis)
+    if common == n_cells:
+        return values
+    blocks = values.shape[:axis] + (n_cells, common // n_cells) + values.shape[axis + 1:]
+    return values.reshape(blocks).mean(axis=axis + 1)
 
 
 def common_grid(f: "StepProfile", g: "StepProfile"):
@@ -154,11 +176,8 @@ def common_grid(f: "StepProfile", g: "StepProfile"):
     if f.grid == g.grid:
         return f.values, g.values, f.grid
     common = _common_cells(f.grid.n_cells, g.grid.n_cells)
-    return (
-        np.repeat(f.values, common // f.grid.n_cells),
-        np.repeat(g.values, common // g.grid.n_cells),
-        GridSpec(common),
-    )
+    return (regrid_step_values(f.values, common), regrid_step_values(g.values, common),
+            GridSpec(common))
 
 
 class Graphon:
@@ -288,16 +307,6 @@ def check_step_resolution(W: Graphon, grid: GridSpec) -> None:
         )
 
 
-def _overlap_weights(n: int, p: int) -> np.ndarray:
-    """weights[i, a] = n * |cell_i^(n) ∩ cell_a^(p)|, computed on the integer lcm grid."""
-    common = math.lcm(n, p)
-    fine = np.arange(n + 1) * (common // n)
-    coarse = np.arange(p + 1) * (common // p)
-    lo = np.maximum(fine[:-1, None], coarse[None, :-1])
-    hi = np.minimum(fine[1:, None], coarse[None, 1:])
-    return np.maximum(hi - lo, 0) * (n / common)
-
-
 def _check_matrix_cells(n: int) -> None:
     """Refuse an n x n matrix above the size cap before it is allocated."""
     if n > MAX_GRID_CELLS:
@@ -309,12 +318,13 @@ def _check_matrix_cells(n: int) -> None:
 def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepGraphon:
     """Project a graphon onto the n-step grid by per-rectangle averaging.
 
-    Step graphons are averaged exactly through rectangle overlaps, so an input
-    that is already n-step comes back unchanged.  A separable kernel a(t)b(s)
-    is averaged with the m x m midpoint rule per cell (m = 1 evaluates at the
-    cell midpoint); that average factors exactly into the outer product of the
-    m-point cell averages of a and of b, so only n * m samples are taken.
-    Any other result is an n x n matrix, refused above ``MAX_GRID_CELLS``.
+    Step graphons are averaged exactly by ``regrid_step_values`` along each
+    axis, so an input that is already n-step comes back unchanged.  A separable
+    kernel a(t)b(s) is averaged with the m x m midpoint rule per cell (m = 1
+    evaluates at the cell midpoint); that average factors exactly into the outer
+    product of the m-point cell averages of a and of b, so only n * m samples
+    are taken.  Any other result is an n x n matrix, refused above
+    ``MAX_GRID_CELLS``, as is a common refinement of two step grids.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -322,8 +332,7 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
         return W
     _check_matrix_cells(n)
     if isinstance(W, StepGraphon):
-        weights = _overlap_weights(n, W.n)
-        values = weights @ W.values @ weights.T
+        values = regrid_step_values(regrid_step_values(W.values, n, 0), n, 1)
     else:
         abar, bbar = _factor_averages(W, n, m)
         values = np.outer(abar, bbar)
@@ -348,8 +357,8 @@ class KernelOperator:
     discretized once, in one of three kinds:
 
     - "dense": a step kernel with k = N cells, e = V @ f / N;
-    - "block": a step kernel with k | N and k < N, e = repeat(V @ mean_k(f) / k, N/k),
-      so no N x N matrix is formed;
+    - "block": a step kernel with k | N and k < N, e = V @ f_k / k regridded to N,
+      with f_k the cell averages of f on the k-grid, so no N x N matrix is formed;
     - "rank-1": a separable kernel a(t)b(s), e = ā (b̄ · f) / N from the factor
       averages of its step approximation, again with no N x N matrix.
 
@@ -385,11 +394,8 @@ class KernelOperator:
             abar, bbar = self._factors
             return abar * (bbar @ values) / n
         (matrix,) = self._factors
-        if self.kind == "dense":
-            return matrix @ values / n
-        k = matrix.shape[0]
-        coarse = np.asarray(values).reshape(k, n // k).mean(axis=1)
-        return np.repeat(matrix @ coarse / k, n // k)
+        k = matrix.shape[0]  # k = N: both regrids return their input, e = V @ f / N
+        return regrid_step_values(matrix @ regrid_step_values(values, k) / k, n)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix of the kernel's step approximation on the grid."""
@@ -515,14 +521,11 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
 def _midpoint_samples(W: Graphon, mids: np.ndarray) -> np.ndarray:
     """W(mids[i], mids[j]) for all i, j, without gathering points where W factors.
 
-    A step kernel whose resolution divides the sampling grid has its entries
-    repeated along both axes, and a separable kernel is the outer product of its
-    factor samples; both equal ``evaluate`` on the broadcast grid bit for bit.
+    A separable kernel, or a step kernel whose resolution divides the sampling
+    grid, is its one-point step approximation on that grid: the outer product
+    of its factor samples, or its entries repeated along both axes.  Both equal
+    ``evaluate`` on the broadcast grid bit for bit.
     """
-    if isinstance(W, StepGraphon) and mids.size % W.n == 0:
-        k = mids.size // W.n
-        return np.repeat(np.repeat(W.values, k, axis=0), k, axis=1)
-    if isinstance(W, SeparableGraphon):
-        return np.outer(np.asarray(W.a(mids), dtype=float),
-                        np.asarray(W.b(mids), dtype=float))
+    if isinstance(W, SeparableGraphon) or (isinstance(W, StepGraphon) and mids.size % W.n == 0):
+        return step_approximation(W, mids.size, m=1).values
     return np.asarray(W.evaluate(mids[:, None], mids[None, :]), dtype=float)

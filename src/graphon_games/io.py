@@ -17,6 +17,8 @@ from .solver import SolverConfig
 def check_keys(d: dict, allowed, what: str, required=(), exact: bool = False) -> None:
     """Reject a key of ``d`` outside ``allowed`` or a missing one of ``required``
     (with ``exact``, a missing one of ``allowed``)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     allowed, unknown = sorted(allowed), sorted(set(d) - set(allowed))
     if exact and sorted(d) != allowed:
         raise ValueError(f"{what} needs parameters {allowed}, got {sorted(d)}")
@@ -25,6 +27,14 @@ def check_keys(d: dict, allowed, what: str, required=(), exact: bool = False) ->
     missing = sorted(set(required) - set(d))
     if missing:
         raise ValueError(f"{what} is missing keys {missing}; it needs {sorted(required)}")
+
+
+def integral_size(x, what: str) -> int:
+    """A size read from JSON: an integral number, never a bool, a string or a fraction."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer))
+                                   or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def save_json(path, obj) -> None:
@@ -54,7 +64,7 @@ def step_graphon_from_envelope(d: dict) -> StepGraphon:
     values = np.array(d["values"], dtype=float)  # a new array, so the graphon adopts it
     if values.ndim == 1:
         check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
-        values = values.reshape((int(d["n"]),) * 2)
+        values = values.reshape((integral_size(d["n"], "step graphon n"),) * 2)
     return StepGraphon(_freeze(values))
 
 
@@ -90,7 +100,7 @@ def game_from_descriptor(d: dict) -> GraphonGame:
     """{"graphon": {...}, "utility": {"family": ..., "params": {...}}, "L": ..., "grid_n": ...}"""
     keys = ("graphon", "utility", "L", "grid_n")
     check_keys(d, keys, "game descriptor", required=keys)
-    grid = GridSpec(int(d["grid_n"]))
+    grid = GridSpec(integral_size(d["grid_n"], "grid_n"))
     graphon = graphon_from_descriptor(d["graphon"])
     utilities = utility_from_descriptor(d["utility"], grid)
     return GraphonGame(graphon, utilities, float(d["L"]), grid)

@@ -26,6 +26,7 @@ from .core import (
     GridSpec,
     StepGraphon,
     StepProfile,
+    check_threshold,
     graphon_l1_distance,
     step_approximation,
 )
@@ -82,6 +83,12 @@ class ExperimentPlan:
         _check_sizes(self.n_list, self.game.grid.n_cells)
         if self.equilibrium_source not in ("resolvent", "solver"):
             raise ValueError(f"unknown equilibrium source {self.equilibrium_source!r}")
+        check_threshold(self.resolvent_tol, "resolvent_tol", positive=True)
+        for name in ("source_value", "certification_tol", "eps_tolerance", "limit_l1_tolerance",
+                     "limit_eps_tolerance", "exceed_delta", "cross_l1_tolerance"):
+            check_threshold(getattr(self, name), name)
+        if not isinstance(self.solver_init, str):
+            raise ValueError(f"solver_init must be const:v or a CSV path, got {self.solver_init!r}")
 
     @cached_property
     def reference(self) -> tuple[StepProfile, RegretReport]:
@@ -193,7 +200,7 @@ def approximate_profile(f: StepProfile, n: int) -> np.ndarray:
     n_ref = f.grid.n_cells
     if n < 1 or n_ref % n:
         raise GridCompatibilityError(f"{n} does not divide the reference grid {n_ref}")
-    return f.values.reshape(n, n_ref // n).mean(axis=1)
+    return f.average_to(n).values
 
 
 def regrid_game(game: GraphonGame, n_cells: int) -> GraphonGame:
@@ -464,19 +471,23 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     kwargs["game"] = io.game_from_descriptor(d["game"])
     for key in ("n_list", "alt_n_list"):
         if key in d:
-            kwargs[key] = tuple(int(n) for n in d[key])
+            if not isinstance(d[key], list):
+                raise ValueError(f"{key} must be a list of sizes, got {d[key]!r}")
+            kwargs[key] = tuple(io.integral_size(n, key) for n in d[key])
+    if "alt_grid" in d:
+        kwargs["alt_grid"] = io.integral_size(d["alt_grid"], "alt_grid")
     if "solver" in d:
         kwargs["solver"] = io.solver_config_from_descriptor(d["solver"])
-    if not kwargs.get("solver_init", "const:").startswith("const:"):
-        kwargs["solver_init"] = os.path.join(base_dir, kwargs["solver_init"])
+    init = kwargs.get("solver_init")
+    if isinstance(init, str) and not init.startswith("const:"):
+        kwargs["solver_init"] = os.path.join(base_dir, init)
     source = d.get("source_g")
-    if source is not None:
-        if isinstance(source, (int, float)):
-            kwargs["source_value"] = float(source)
-        elif source.startswith("const:"):
-            kwargs["source_value"] = float(source.split(":", 1)[1])
-        else:
-            kwargs["source_profile"] = io.load_profile_csv(os.path.join(base_dir, source))
+    if isinstance(source, str) and source.startswith("const:"):
+        kwargs["source_value"] = float(source.split(":", 1)[1])
+    elif isinstance(source, str):
+        kwargs["source_profile"] = io.load_profile_csv(os.path.join(base_dir, source))
+    elif source is not None:
+        kwargs["source_value"] = source  # checked as a number by the plan
     plan = ExperimentPlan(**kwargs)
     return plan, d.get("experiment", "characterization")
 

@@ -13,6 +13,7 @@ from .core import (
     GridSpec,
     StepProfile,
     check_step_resolution,
+    check_threshold,
     local_aggregate,
     resolvent,
 )
@@ -181,8 +182,10 @@ def verify_equilibrium(W: Graphon, params: LQParams, s: StepProfile,
     Checks cellwise, with e the local aggregate of s: (i) s(i) in [0, cap];
     (ii) 0 <= lam*e(i) <= lam*e(i) + 1 <= cap; (iii) s(i) in [lam*e(i), lam*e(i)+1];
     and computes the regret report.  Certified iff all three hold up to tol and
-    epsilon* <= tol.  Violations are reported, never raised.
+    epsilon* <= tol.  Violations are reported, never raised; a tolerance that
+    is not finite and > 0 is a ValueError.
     """
+    check_threshold(tol, "tolerance", positive=True)
     game = lq_game(W, params, s.grid)
     rep = regret_profile(game, s, br_tol)
     anchor = params.lam * rep.aggregate.values

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepProfile, common_grid
+from .core import StepProfile, check_threshold, common_grid
 from .games import (
     BEST_RESPONSE_TOL,
     GraphonGame,
@@ -31,13 +31,13 @@ class SolverConfig:
     best_response_tolerance: float = BEST_RESPONSE_TOL
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
+        for name in ("damping", "step_tolerance", "regret_target", "best_response_tolerance"):
+            check_threshold(getattr(self, name), name, positive=True)
+        if not self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if not (self.step_tolerance > 0 and self.regret_target > 0
-                and self.best_response_tolerance > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.selection_rule not in SELECTION_RULES:
             raise ValueError(
                 f"unknown selection rule {self.selection_rule!r}; choose from {SELECTION_RULES}"

@@ -122,6 +122,15 @@ class TestLQVerifyCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, workspace, capsys, tol):
+        profile = workspace / "p.csv"
+        io.save_profile_csv(profile, StepProfile.constant(1.0, GridSpec(64)))
+        assert_input_error(capsys, "tolerance must be finite and > 0", [
+            "lq", "verify", "--game", str(workspace / "game.json"),
+            "--profile", str(profile), "--tol", tol,
+        ])
+
     def test_quadratic_game_is_an_input_error(self, workspace, capsys):
         io.save_json(workspace / "quadratic.json", {
             "graphon": {"family": "constant", "params": {"c": 0.5}},
@@ -156,6 +165,14 @@ class TestSolveCommand:
         profile = io.load_profile_csv(out)
         assert profile.grid.n_cells == 64
 
+
+    def test_wrong_typed_config_value_is_an_input_error(self, workspace, capsys):
+        io.save_json(workspace / "solver.json", {"damping": "0.5"})
+        assert_input_error(capsys, "damping must be a number, got '0.5'", [
+            "solve", "--game", str(workspace / "game.json"),
+            "--config", str(workspace / "solver.json"), "--out", str(workspace / "f.csv"),
+        ])
+        assert not (workspace / "f.csv").exists()
 
     def test_unknown_config_key_is_an_input_error(self, workspace, capsys):
         io.save_json(workspace / "solver.json", {"dampening": 0.5})
@@ -272,6 +289,41 @@ class TestLabRunCommand:
         self.run_plan_with(workspace, capsys, r"solver config has unknown keys \['iters'\]",
                            solver={"iters": 10})
 
+    @pytest.mark.parametrize("keys, match", [
+        ({"eps_tolerance": "abc"}, "eps_tolerance must be a number, got 'abc'"),
+        ({"eps_tolerance": True}, "eps_tolerance must be a number, got True"),
+        ({"eps_tolerance": float("nan")}, "eps_tolerance must be finite and >= 0, got nan"),
+        ({"eps_tolerance": -1}, "eps_tolerance must be finite and >= 0, got -1"),
+        ({"certification_tol": float("nan")}, "certification_tol must be finite and >= 0"),
+        ({"resolvent_tol": "x"}, "resolvent_tol must be a number"),
+        ({"resolvent_tol": 0}, "resolvent_tol must be finite and > 0"),
+        ({"exceed_delta": "q"}, "exceed_delta must be a number"),
+        ({"solver_init": 3}, "solver_init must be const:v or a CSV path, got 3"),
+        ({"source_g": [1, 2]}, r"source_value must be a number, got \[1, 2\]"),
+        ({"solver": {"damping": "0.5"}}, "damping must be a number, got '0.5'"),
+        ({"solver": {"max_iters": 2.5}}, "max_iters must be an integer >= 1, got 2.5"),
+        ({"solver": {"regret_target": None}}, "regret_target must be a number, got None"),
+        ({"n_list": [8.5, 16]}, "n_list must be an integer, got 8.5"),
+        ({"n_list": 8}, "n_list must be a list of sizes, got 8"),
+        ({"game": 3}, "game descriptor must be a JSON object, got 3"),
+        ({"alt_n_list": [12, True]}, "alt_n_list must be an integer, got True"),
+        ({"alt_grid": 96.5}, "alt_grid must be an integer, got 96.5"),
+    ])
+    def test_wrong_typed_or_out_of_range_numbers_are_input_errors(self, workspace, capsys,
+                                                                  keys, match):
+        self.run_plan_with(workspace, capsys, match, **keys)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("grid_n", 8.7, "grid_n must be an integer, got 8.7"),
+        ("graphon", {"family": "step", "params": {"n": 1.5, "values": [0.5]}},
+         "step graphon n must be an integer, got 1.5"),
+        ("utility", 3, "utility descriptor must be a JSON object, got 3"),
+    ])
+    def test_malformed_game_values_are_input_errors(self, workspace, capsys, field, value, match):
+        game = json.loads((workspace / "game.json").read_text())
+        game[field] = value
+        self.run_plan_with(workspace, capsys, match, game=game)
+
     def test_unknown_experiment_is_an_input_error(self, workspace, capsys):
         self.run_plan_with(workspace, capsys, "unknown experiment 'mystery'",
                            experiment="mystery")
@@ -295,8 +347,10 @@ class TestLabRunCommand:
         plan = {
             "experiment": "coarsened",
             "game": json.loads((workspace / "game.json").read_text()),
-            "n_list": [8, 16, 32, 64],
-            "eps_tolerance": -1.0,
+            # a valid tolerance that only an exact equilibrium meets: the 16-player
+            # coarsening of the 64-cell reference has regret about 6e-10
+            "n_list": [8, 16],
+            "eps_tolerance": 0.0,
         }
         io.save_json(workspace / "plan.json", plan)
         code = main(["lab", "run", "--plan", str(workspace / "plan.json"),

@@ -231,15 +231,33 @@ class TestStepApproximation:
         back = step_approximation(fine, 2)
         np.testing.assert_allclose(back.values, W.values, atol=1e-15)
 
-    def test_incommensurate_step_average_matches_fine_sampling(self):
-        rng = np.random.default_rng(2)
-        W = StepGraphon(rng.random((4, 4)))
-        out = step_approximation(W, 3)
-        # oracle: brute-force averaging on the common refinement (12 cells)
-        mids = (np.arange(12) + 0.5) / 12
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 12), n=st.integers(1, 36), seed=st.integers(0, 2 ** 32 - 1))
+    def test_incommensurate_step_average_matches_fine_sampling(self, p, n, seed):
+        W = StepGraphon(np.random.default_rng(seed).random((p, p)))
+        out = step_approximation(W, n)
+        # oracle: brute-force averaging on the common refinement
+        common = math.lcm(p, n)
+        mids = (np.arange(common) + 0.5) / common
         fine = W.evaluate(mids[:, None], mids[None, :])
-        expected = fine.reshape(3, 4, 3, 4).mean(axis=(1, 3))
-        np.testing.assert_allclose(out.values, expected, atol=1e-14)
+        k = common // n
+        expected = fine.reshape(n, k, n, k).mean(axis=(1, 3))
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+        if n % p == 0:  # a refinement repeats each entry, bit for bit
+            r = n // p
+            np.testing.assert_array_equal(out.values, np.repeat(np.repeat(W.values, r, 0), r, 1))
+
+    def test_step_refinement_holds_little_beyond_its_result(self):
+        # one axis at a time: the 2048 x 512 half-refined matrix is the only temporary
+        W = StepGraphon(np.random.default_rng(3).random((512, 512)))
+        tracemalloc.start()
+        try:
+            out = step_approximation(W, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == 32 * 2 ** 20
+        assert peak <= 1.3 * out.values.nbytes
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -456,6 +474,18 @@ class TestMatrixSizeCap:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_incommensurate_common_refinement_is_refused_before_it_allocates(self):
+        # 97 and 101 cells share a 9797-cell refinement, above the cap
+        W = StepGraphon(np.full((97, 97), 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCompatibilityError, match="9797 cells in common"):
+                step_approximation(W, 101)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_every_n_by_n_matrix_is_capped(self):
         n = MAX_GRID_CELLS + 1
         refused = [
@@ -470,6 +500,10 @@ class TestMatrixSizeCap:
         # the operator itself needs no N x N matrix, so it is not capped
         e = KernelOperator(ProductGraphon(), GridSpec(n)).apply(np.ones(n))
         assert e.shape == (n,)
+        # nor is a block kernel: the grid it refines to is the operator's own
+        big = 2 * MAX_GRID_CELLS
+        block = KernelOperator(StepGraphon([[0.5, 0.25], [0.25, 0.5]]), GridSpec(big))
+        np.testing.assert_array_equal(block.apply(np.ones(big)), np.full(big, 0.375))
 
 
 class TestGraphonL1Distance:
@@ -523,6 +557,15 @@ class TestGraphonL1Sampling:
         expected = float(np.abs(np.asarray(W1.evaluate(t, s), dtype=float)
                                 - np.asarray(W2.evaluate(t, s), dtype=float)).mean())
         assert graphon_l1_distance(W1, W2, resolution=resolution) == expected
+
+    def test_other_kernels_are_sampled_pointwise(self):
+        class Pointwise(Graphon):
+            def evaluate(self, t, s):
+                return np.minimum(t, s)
+
+        mids = (np.arange(24) + 0.5) / 24
+        expected = float(np.abs(np.minimum(mids[:, None], mids[None, :]) - 0.25).mean())
+        assert graphon_l1_distance(Pointwise(), ConstantGraphon(0.25), resolution=24) == expected
 
     def test_factored_kernels_are_not_evaluated_pointwise(self, monkeypatch):
         def no_gather(self, t, s):
