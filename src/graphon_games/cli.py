@@ -4,8 +4,8 @@ Subcommands: ``lq solve`` / ``lq verify`` for the plateau game, ``solve`` for
 the generic best-response solver, and ``lab run`` for the convergence
 experiments.  Exit codes: 0 on success, 1 if not certified or a plan threshold
 fails, 2 on an input error, 3 if ``solve`` does not converge.  ``main`` reports
-an input error, and an experiment whose equilibrium fails certification, as one
-stderr line.
+an input error, and an equilibrium that fails certification, as one stderr
+line.
 """
 
 from __future__ import annotations

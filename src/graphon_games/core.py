@@ -458,10 +458,8 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKe
     lambda * c < 1; with it, (I - lambda*K)^(-1) = I + lambda*Gamma holds on the
     grid up to the recorded tail bound.
     """
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not (lam >= 0):
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_threshold(tol, "tolerance", positive=True)
+    check_threshold(lam, "lambda")
     c = W.sup_norm()
     rho = lam * c
     if not (rho < 1.0):

@@ -3,6 +3,7 @@ and the epsilon-Nash certifier built on the per-agent regret profile."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +91,16 @@ class UtilitySpec:
         params = {}
         for name in cls.param_names:
             v = values[name]
+            # a bool or a string is not a number, though float() would take it
+            if isinstance(v, np.ndarray):
+                numeric = v.dtype.kind in "fiu"
+            else:
+                numeric = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                              for x in ([v] if np.ndim(v) == 0 else v))
+            if not numeric:
+                key = PARAM_FILE_KEYS.get(name, name)
+                raise ValueError(f"{cls.family} utility parameter {key} must be a number "
+                                 f"or a list of numbers, got {v!r}")
             if np.isscalar(v):
                 params[name] = StepProfile.constant(float(v), grid)
             else:
@@ -280,7 +291,6 @@ class RegretReport:
 
     regrets: StepProfile
     epsilon_star: float
-    best_response_tolerance: float
     strategy: StepProfile
     aggregate: StepProfile
 
@@ -304,20 +314,19 @@ def epsilon_star(regrets) -> float:
     return float(np.min(np.maximum(np.arange(n + 1) / n, thresholds)))
 
 
-def best_responses(utilities: UtilitySpec, agg, cap: float,
-                   br_tol: float = BEST_RESPONSE_TOL):
+def best_responses(utilities: UtilitySpec, agg, cap: float):
     """Best-response interval (lo, hi) and maximal utility per cell over [0, cap]
     under aggregate agg.
 
     Uses the family's closed forms when it has them; otherwise golden-section
     search on the quasi-concave utility supplies both (the interval is then the
-    single point it located to within br_tol).
+    single point it located to within BEST_RESPONSE_TOL).
     """
     interval = utilities.best_response(agg, cap)
     best = utilities.best_value(agg, cap)
     if interval is None or best is None:
         point, value = golden_section_max(
-            lambda a: utilities.evaluate(a, agg), 0.0, cap, br_tol
+            lambda a: utilities.evaluate(a, agg), 0.0, cap, BEST_RESPONSE_TOL
         )
         if interval is None:
             interval = (point, point)
@@ -326,15 +335,25 @@ def best_responses(utilities: UtilitySpec, agg, cap: float,
     return interval, np.asarray(best, float)
 
 
-def response_regrets(game, values, agg, br_tol: float = BEST_RESPONSE_TOL):
+def response_regrets(game, values, agg):
     """Best-response interval (lo, hi) per cell under aggregate agg, and the
     regret h = max_a u(a, agg) - u(values, agg) of playing values there."""
-    interval, best = best_responses(game.utilities, agg, game.cap, br_tol)
+    interval, best = best_responses(game.utilities, agg, game.cap)
     current = np.asarray(game.utilities.evaluate(values, agg), float)
     return interval, np.maximum(best - current, 0.0)
 
 
-def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretReport:
+def _regret_report(grid: GridSpec, values, agg, regrets) -> RegretReport:
+    """The report of regrets computed for the strategies values under aggregate agg."""
+    return RegretReport(
+        regrets=StepProfile(grid, regrets),
+        epsilon_star=epsilon_star(regrets),
+        strategy=StepProfile(grid, values),
+        aggregate=StepProfile(grid, np.asarray(agg, float)),
+    )
+
+
+def regret_profile(game, profile) -> RegretReport:
     """Regret h(i) = max_a u_i(a, e_i) - u_i(f_i, e_i) per cell, plus epsilon*.
 
     Accepts a graphon game with a step profile or a network game with a strategy
@@ -359,19 +378,13 @@ def regret_profile(game, profile, br_tol: float = BEST_RESPONSE_TOL) -> RegretRe
     if values.min() < -1e-12 or values.max() > game.cap + 1e-12:
         raise ValueError(f"profile leaves the strategy interval [0, {game.cap}]")
 
-    _, h = response_regrets(game, values, agg, br_tol)
-    return RegretReport(
-        regrets=StepProfile(grid, h),
-        epsilon_star=epsilon_star(h),
-        best_response_tolerance=br_tol,
-        strategy=StepProfile(grid, values),
-        aggregate=StepProfile(grid, np.asarray(agg, float)),
-    )
+    _, h = response_regrets(game, values, agg)
+    return _regret_report(grid, values, agg, h)
 
 
-def is_epsilon_nash(game, profile, eps: float, br_tol: float = BEST_RESPONSE_TOL) -> bool:
+def is_epsilon_nash(game, profile, eps: float) -> bool:
     """True iff the fraction of agents with regret <= eps is at least 1 - eps."""
     if not (eps >= 0):
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    report = regret_profile(game, profile, br_tol)
+    report = regret_profile(game, profile)
     return bool(np.mean(report.regrets.values <= eps) >= 1.0 - eps)

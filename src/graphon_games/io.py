@@ -9,7 +9,15 @@ import json
 
 import numpy as np
 
-from .core import SEPARABLE_FAMILIES, Graphon, GridSpec, StepGraphon, StepProfile, _freeze
+from .core import (
+    SEPARABLE_FAMILIES,
+    Graphon,
+    GridSpec,
+    StepGraphon,
+    StepProfile,
+    _freeze,
+    check_threshold,
+)
 from .games import PARAM_FILE_KEYS, UTILITY_FAMILIES, GraphonGame, RegretReport, UtilitySpec
 from .solver import SolverConfig
 
@@ -76,8 +84,10 @@ def graphon_from_descriptor(d: dict) -> Graphon:
     params = d.get("params", {})
     if family in SEPARABLE_FAMILIES:
         make = SEPARABLE_FAMILIES[family]
-        check_keys(params, inspect.signature(make).parameters, f"graphon family {family!r}",
-                   exact=True)
+        what = f"graphon family {family!r}"
+        check_keys(params, inspect.signature(make).parameters, what, exact=True)
+        for k, v in params.items():
+            check_threshold(v, f"{what} parameter {k}")
         return make(**{k: float(v) for k, v in params.items()})
     if family in ("step", "block"):
         return step_graphon_from_envelope(params)
@@ -103,6 +113,7 @@ def game_from_descriptor(d: dict) -> GraphonGame:
     grid = GridSpec(integral_size(d["grid_n"], "grid_n"))
     graphon = graphon_from_descriptor(d["graphon"])
     utilities = utility_from_descriptor(d["utility"], grid)
+    check_threshold(d["L"], "L", positive=True)
     return GraphonGame(graphon, utilities, float(d["L"]), grid)
 
 

@@ -39,7 +39,7 @@ from .games import (
     embed_strategy,
     regret_profile,
 )
-from .lq import SourceFunction, equilibrium_from_source, plateau_params
+from .lq import CertificationError, SourceFunction, equilibrium_from_source, plateau_params
 from .solver import SolverConfig, profile_distance, solve
 
 ROW_HEADER = (
@@ -50,10 +50,6 @@ ROW_HEADER = (
     "profile_exceed_fraction",
     "epsilon_n",
 )
-
-
-class CertificationError(RuntimeError):
-    """An experiment's prerequisite equilibrium failed certification."""
 
 
 @dataclass(frozen=True)
@@ -290,8 +286,6 @@ class LimitResult:
     rows: list[ConvergenceRow]
     skipped: list[int]
     limit_profile: StepProfile
-    distances_to_limit: list[float]
-    exceed_to_limit: list[float]
     converging: bool
     l1_to_reference: float
     l1_tolerance: float
@@ -352,8 +346,6 @@ def _limit(plan: ExperimentPlan, reference: StepProfile,
         rows=rows,
         skipped=skipped,
         limit_profile=limit,
-        distances_to_limit=d_l1,
-        exceed_to_limit=d_exceed,
         converging=converging,
         l1_to_reference=l1_ref,
         l1_tolerance=plan.limit_l1_tolerance,

@@ -18,12 +18,15 @@ from .core import (
     resolvent,
 )
 from .games import (
-    BEST_RESPONSE_TOL,
     GraphonGame,
     PlateauUtility,
     RegretReport,
     regret_profile,
 )
+
+
+class CertificationError(ArithmeticError):
+    """An equilibrium, or an experiment's prerequisite one, failed certification."""
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,8 @@ class LQParams:
     def validate_for_equilibrium(self, sup_norm: float) -> None:
         """Check lam*||W|| < 1 and both cap bounds, reporting the required minimum."""
         needed = self.min_admissible_cap(sup_norm)  # raises on contraction failure
-        margin = 1.0 - self.lam * sup_norm
-        if 1.0 / margin > self.cap:
-            raise ValueError(
-                f"cap {self.cap} violates the bound 1/(1 - lam*||W||) = {1.0 / margin:.6g}; "
-                f"need cap >= {needed:.6g}"
-            )
-        if self.lam / margin + 1.0 > self.cap:
-            raise ValueError(
-                f"cap {self.cap} violates the bound lam/(1 - lam*||W||) + 1 = "
-                f"{self.lam / margin + 1.0:.6g}; need cap >= {needed:.6g}"
-            )
+        if needed > self.cap:
+            raise ValueError(f"cap {self.cap} fails a sufficiency bound; need cap >= {needed:.6g}")
 
     def utility_spec(self, grid: GridSpec) -> PlateauUtility:
         """The plateau family with this lam constant across agents."""
@@ -126,25 +120,27 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
     check_step_resolution(W, grid)  # so K s lands on the grid of s
     c = W.sup_norm()
     params.validate_for_equilibrium(c)
+    margin = 1.0 - params.lam * c
     # s misses s* by lam * (Gamma tail) * ||g||_inf with ||g||_inf <= 1, so for
     # lam > 1 the kernel tail must be within tol / lam for the certificate to hold
     kernel = resolvent(W, params.lam, grid, tol / max(1.0, params.lam))
     series = g.values + params.lam * kernel.apply(g.values).values
     if not np.isfinite(series).all():
-        raise ArithmeticError("Neumann-series solution is not finite: it has no residual bound")
+        raise CertificationError(
+            "Neumann-series solution is not finite: it has no residual bound")
 
     profile = StepProfile(grid, series)
     residual = series - params.lam * local_aggregate(W, profile).values - g.values
-    bound = float(np.abs(residual).max()) / (1.0 - params.lam * c)
+    bound = float(np.abs(residual).max()) / margin
     if not (bound <= 10.0 * tol):
-        raise ArithmeticError(
+        raise CertificationError(
             f"Neumann-series solution misses the Fredholm equation: error bound "
             f"{bound:.3g} from its residual (> 10*tol = {10 * tol:.3g})"
         )
 
-    upper = 1.0 / (1.0 - params.lam * c)
+    upper = 1.0 / margin
     if series.min() < -10.0 * tol or series.max() > upper + 10.0 * tol:
-        raise ArithmeticError(
+        raise CertificationError(
             f"solution leaves the a priori range [0, {upper:.6g}]: "
             f"min {series.min():.6g}, max {series.max():.6g}"
         )
@@ -175,8 +171,7 @@ class CertificationReport:
 
 
 def verify_equilibrium(W: Graphon, params: LQParams, s: StepProfile,
-                       tol: float = 1e-6,
-                       br_tol: float = BEST_RESPONSE_TOL) -> CertificationReport:
+                       tol: float = 1e-6) -> CertificationReport:
     """Certify a candidate equilibrium of the plateau game.
 
     Checks cellwise, with e the local aggregate of s: (i) s(i) in [0, cap];
@@ -187,7 +182,7 @@ def verify_equilibrium(W: Graphon, params: LQParams, s: StepProfile,
     """
     check_threshold(tol, "tolerance", positive=True)
     game = lq_game(W, params, s.grid)
-    rep = regret_profile(game, s, br_tol)
+    rep = regret_profile(game, s)
     anchor = params.lam * rep.aggregate.values
     in_interval = (s.values >= -tol) & (s.values <= params.cap + tol)
     plateau_fits = (anchor >= -tol) & (anchor + 1.0 <= params.cap + tol)

@@ -9,9 +9,9 @@ import numpy as np
 
 from .core import StepProfile, check_threshold, common_grid
 from .games import (
-    BEST_RESPONSE_TOL,
     GraphonGame,
     RegretReport,
+    _regret_report,
     best_responses,
     epsilon_star,
     regret_profile,
@@ -28,10 +28,9 @@ class SolverConfig:
     step_tolerance: float = 1e-9
     regret_target: float = 1e-7
     selection_rule: str = "nearest-point"
-    best_response_tolerance: float = BEST_RESPONSE_TOL
 
     def __post_init__(self):
-        for name in ("damping", "step_tolerance", "regret_target", "best_response_tolerance"):
+        for name in ("damping", "step_tolerance", "regret_target"):
             check_threshold(getattr(self, name), name, positive=True)
         if not self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
@@ -65,13 +64,13 @@ def _select(lo: np.ndarray, hi: np.ndarray, current: np.ndarray, rule: str) -> n
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
-def best_response_map(game: GraphonGame, f: StepProfile, rule: str = "nearest-point",
-                      br_tol: float = BEST_RESPONSE_TOL) -> StepProfile:
+def best_response_map(game: GraphonGame, f: StepProfile,
+                      rule: str = "nearest-point") -> StepProfile:
     """One synchronous best response: per cell, compute the best-response set and
     select a point by the rule (nearest-point projects the current strategy
     onto the set, so fixed points are exactly the equilibria)."""
     agg = game.operator.apply(f.values)
-    (lo, hi), _ = best_responses(game.utilities, agg, game.cap, br_tol)
+    (lo, hi), _ = best_responses(game.utilities, agg, game.cap)
     return StepProfile(f.grid, _select(lo, hi, f.values, rule))
 
 
@@ -98,17 +97,10 @@ def solve(game: GraphonGame, f0: StepProfile,
     for _ in range(config.max_iters):
         iterations += 1
         agg = game.operator.apply(f)
-        (lo, hi), regrets = response_regrets(game, f, agg, config.best_response_tolerance)
-        eps = epsilon_star(regrets)
-        if eps <= config.regret_target:
+        (lo, hi), regrets = response_regrets(game, f, agg)
+        if epsilon_star(regrets) <= config.regret_target:
             converged = True
-            final_report = RegretReport(
-                regrets=StepProfile(game.grid, regrets),
-                epsilon_star=eps,
-                best_response_tolerance=config.best_response_tolerance,
-                strategy=StepProfile(game.grid, f),
-                aggregate=StepProfile(game.grid, agg),
-            )
+            final_report = _regret_report(game.grid, f, agg, regrets)
             break
         update = _select(lo, hi, f, config.selection_rule)
         f_next = (1.0 - config.damping) * f + config.damping * update
@@ -121,7 +113,7 @@ def solve(game: GraphonGame, f0: StepProfile,
 
     profile = StepProfile(game.grid, f)
     if final_report is None:
-        final_report = regret_profile(game, profile, config.best_response_tolerance)
+        final_report = regret_profile(game, profile)
     return profile, SolveTrace(iterations, np.asarray(steps), final_report, converged)
 
 

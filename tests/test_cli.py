@@ -88,6 +88,40 @@ class TestLQSolveCommand:
         ])
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", [True, "0.5"])
+    def test_descriptor_number_must_be_a_number(self, workspace, capsys, c):
+        # float() would read true as 1 and "0.5" as 0.5
+        io.save_json(workspace / "c.json", {"family": "constant", "params": {"c": c}})
+        out = workspace / "s.csv"
+        assert_input_error(capsys, f"parameter c must be a number, got {c!r}", [
+            "lq", "solve", "--graphon", str(workspace / "c.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "8", "--out", str(out),
+        ])
+        assert not out.exists()
+
+    def test_infinite_tolerance_is_an_input_error(self, workspace, capsys):
+        # an infinite tolerance would truncate the resolvent at order 1 and pass
+        # the residual bound against 10 * inf
+        out = workspace / "s.csv"
+        assert_input_error(capsys, "tolerance must be finite and > 0, got inf", [
+            "lq", "solve", "--graphon", str(workspace / "graphon.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "64", "--tol", "inf", "--out", str(out),
+        ])
+        assert not out.exists()
+
+    def test_failed_certificate_exits_1_without_a_traceback(self, workspace, capsys):
+        # no double-precision residual is within 10 * 1e-20
+        out = workspace / "s.csv"
+        capsys.readouterr()
+        assert main([
+            "lq", "solve", "--graphon", str(workspace / "graphon.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "64", "--tol", "1e-20", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "misses the Fredholm equation" in err
+        assert not out.exists()
+
 
 class TestLQVerifyCommand:
     def test_certifies_constructed_equilibrium(self, workspace, capsys):
@@ -179,6 +213,35 @@ class TestSolveCommand:
         assert_input_error(capsys, r"solver config has unknown keys \['dampening'\]", [
             "solve", "--game", str(workspace / "game.json"),
             "--config", str(workspace / "solver.json"), "--out", str(workspace / "f.csv"),
+        ])
+        assert not (workspace / "f.csv").exists()
+
+    def test_best_response_tolerance_is_not_a_config_key(self, workspace, capsys):
+        # best responses use one fixed golden-section tolerance
+        io.save_json(workspace / "solver.json", {"best_response_tolerance": 1e-10})
+        assert_input_error(
+            capsys,
+            r"solver config has unknown keys \['best_response_tolerance'\]; it takes "
+            r"\['damping', 'max_iters', 'regret_target', 'selection_rule', 'step_tolerance'\]",
+            ["solve", "--game", str(workspace / "game.json"),
+             "--config", str(workspace / "solver.json"), "--out", str(workspace / "f.csv")])
+        assert not (workspace / "f.csv").exists()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("L", "4", "L must be a number, got '4'"),
+        ("lambda", True, "parameter lambda must be a number or a list of numbers, got True"),
+        ("lambda", "0.5", "parameter lambda must be a number or a list of numbers, got '0.5'"),
+        ("lambda", [True, 0.5], r"got \[True, 0.5\]"),
+    ])
+    def test_game_numbers_must_be_numbers(self, workspace, capsys, key, value, match):
+        # float() would read true as 1 and "0.5" as 0.5
+        game = {"graphon": {"family": "constant", "params": {"c": 0.5}},
+                "utility": {"family": "plateau_lq", "params": {"lambda": 0.5}},
+                "L": 4.0, "grid_n": 2}
+        (game["utility"]["params"] if key == "lambda" else game)[key] = value
+        io.save_json(workspace / "two.json", game)
+        assert_input_error(capsys, match, [
+            "solve", "--game", str(workspace / "two.json"), "--out", str(workspace / "f.csv"),
         ])
         assert not (workspace / "f.csv").exists()
 

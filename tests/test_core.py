@@ -422,6 +422,13 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(ConstantGraphon(0.5), 0.5, GridSpec(8), tol=float("nan"))
 
+    def test_infinite_tolerance_and_lambda_are_refused(self):
+        # an infinite tolerance would stop the Neumann series at order 1
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0, got inf"):
+            resolvent(ConstantGraphon(0.5), 0.5, GridSpec(8), tol=float("inf"))
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0, got inf"):
+            resolvent(ConstantGraphon(0.5), float("inf"), GridSpec(8), tol=1e-8)
+
     def test_entry_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -18,7 +18,7 @@ from graphon_games.games import (
     regret_profile,
 )
 from graphon_games.lq import LQParams, lq_game
-from graphon_games.solver import SolverConfig, best_response_map, solve
+from graphon_games.solver import best_response_map, solve
 
 
 def eps_star_oracle(regrets, step=1e-4):
@@ -279,18 +279,17 @@ class TestRegretProfile:
         opaque = GraphonGame(ConstantGraphon(0.8),
                              Opaque.from_values(grid, lam=0.6), 3.0, grid)
         r1 = regret_profile(closed, f)
-        r2 = regret_profile(opaque, f, br_tol=1e-10)
+        r2 = regret_profile(opaque, f)
         np.testing.assert_allclose(r2.regrets.values, r1.regrets.values, atol=1e-9)
 
         # the solver's best response: the searched point lies in the closed-form set,
         # up to sqrt(machine eps), since the utility meets its plateau quadratically
         lo, hi = closed.utilities.best_response(r1.aggregate.values, closed.cap)
-        point = best_response_map(opaque, f, br_tol=1e-10).values
+        point = best_response_map(opaque, f).values
         assert np.all((point >= lo - 1e-7) & (point <= hi + 1e-7))
 
         # and solve through the search path reaches a closed-form-certified equilibrium
-        profile, trace = solve(opaque, StepProfile.constant(3.0, grid),
-                               SolverConfig(best_response_tolerance=1e-10))
+        profile, trace = solve(opaque, StepProfile.constant(3.0, grid))
         assert trace.converged
         assert regret_profile(closed, profile).epsilon_star <= 1e-7
 

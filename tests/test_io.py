@@ -165,6 +165,18 @@ class TestUtilityDescriptors:
         with pytest.raises(ValueError, match="lambda"):
             io.utility_from_descriptor({"family": "plateau_lq", "params": {}}, GridSpec(2))
 
+    @pytest.mark.parametrize("beta", [True, "1.0", [1.0, False], [1.0, "2"], None])
+    def test_parameter_values_must_be_numbers(self, beta):
+        # float() would read true as 1 and "1.0" as 1.0
+        with pytest.raises(ValueError, match="quadratic utility parameter beta must be a number"):
+            io.utility_from_descriptor(
+                {"family": "quadratic", "params": {"beta": beta, "delta": 0.5}}, GridSpec(2))
+
+    def test_parameters_may_be_negative(self):
+        spec = io.utility_from_descriptor(
+            {"family": "quadratic", "params": {"beta": [-1.0, 2], "delta": -0.5}}, GridSpec(2))
+        np.testing.assert_array_equal(spec.params["beta"].values, [-1.0, 2.0])
+
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(sorted(UTILITY_FAMILIES)), n=st.integers(1, 8),
            data=st.data())

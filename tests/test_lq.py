@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_games import core, lq
+from graphon_games import core, lab, lq
 from graphon_games.core import (
     ConstantGraphon,
     ContractionError,
@@ -213,6 +213,14 @@ class TestEquilibriumFromSource:
         with pytest.raises(ArithmeticError, match="residual"):
             equilibrium_from_source(ConstantGraphon(0.5), LQParams(0.5, 4.0),
                                     SourceFunction.constant(1.0, GridSpec(16)))
+
+    def test_certificate_failure_is_a_certification_error(self):
+        # the error the CLI reports as exit 1, shared with the lab
+        assert issubclass(lq.CertificationError, ArithmeticError)
+        assert lab.CertificationError is lq.CertificationError
+        with pytest.raises(lq.CertificationError, match="residual"):  # no residual is 1e-19
+            equilibrium_from_source(SeparablePowerGraphon(0.5), LQParams(0.5, 4.0),
+                                    SourceFunction.constant(1.0, GridSpec(64)), tol=1e-20)
 
     def test_step_resolution_must_divide_the_grid(self):
         # a 3-step kernel has no local aggregate on a 4-cell grid, as in a game

@@ -52,11 +52,8 @@ class TestSolverConfig:
             SolverConfig(step_tolerance=0.0)
 
     def test_tolerances_fail_closed(self):
-        # a zero best-response tolerance would make golden-section search spin;
         # NaN compares false against every bound
         for bad in (0.0, np.nan):
-            with pytest.raises(ValueError):
-                SolverConfig(best_response_tolerance=bad)
             with pytest.raises(ValueError):
                 SolverConfig(step_tolerance=bad)
             with pytest.raises(ValueError):
@@ -188,7 +185,7 @@ class TestSolve:
         assert trace.iterations > 1 and len(applied) == trace.iterations
         assert trace.step_sizes.size == trace.iterations - 1
         # the same report regret_profile computes for the returned profile, bit for bit
-        again = regret_profile(game, prof, config.best_response_tolerance)
+        again = regret_profile(game, prof)
         assert trace.final_report.epsilon_star == again.epsilon_star
         for name in ("regrets", "strategy", "aggregate"):
             np.testing.assert_array_equal(getattr(trace.final_report, name).values,
