@@ -29,8 +29,6 @@ from .games import (
     embed_network,
     embed_strategy,
     epsilon_star,
-    golden_section_max,
-    is_epsilon_nash,
     network_local_aggregate,
     regret_profile,
 )

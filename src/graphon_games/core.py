@@ -85,10 +85,6 @@ class GridSpec:
             raise ValueError(f"grid needs a positive integer cell count, got {self.n_cells!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
 
-    @property
-    def cell_measure(self) -> float:
-        return 1.0 / self.n_cells
-
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) / self.n_cells
 
@@ -122,10 +118,6 @@ class StepProfile:
     @classmethod
     def constant(cls, value: float, grid: GridSpec) -> "StepProfile":
         return cls(grid, np.full(grid.n_cells, float(value)))
-
-    def at(self, t):
-        """Evaluate the step function at points of (0,1]."""
-        return self.values[self.grid.cell_index(t)]
 
     def refine(self, n_cells: int) -> "StepProfile":
         """Re-express on a finer grid whose size is a multiple of the current one."""
@@ -444,10 +436,6 @@ class ResolventKernel:
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(f"expected {self.grid.n_cells} values, got shape {vals.shape}")
         return StepProfile(self.grid, self.gamma @ vals / self.grid.n_cells)
-
-    def entry_bound(self) -> float:
-        """Upper bound c/(1 - lambda*c) that every Gamma entry must satisfy."""
-        return self.sup_norm / (1.0 - self.lam * self.sup_norm)
 
 
 def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKernel:

@@ -20,55 +20,20 @@ from .core import (
     check_step_resolution,
 )
 
-BEST_RESPONSE_TOL = 1e-8
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 # utility parameter names in descriptor files, where they differ from the code's
 PARAM_FILE_KEYS = {"lam": "lambda"}
-
-
-def golden_section_max(fun, lo, hi, tol: float = BEST_RESPONSE_TOL):
-    """Maximize a quasi-concave function on [lo, hi] by golden-section search.
-
-    ``fun`` maps arrays to arrays elementwise, so a whole profile of
-    one-dimensional maximizations runs in lockstep.  Returns (argmax, value)
-    with the argmax located to within tol, or to floating-point resolution
-    when tol is finer than that (the search stops once the bracket stops
-    shrinking).
-    """
-    if not (tol > 0):
-        raise ValueError(f"golden-section tolerance must be positive, got {tol}")
-    a, b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = np.asarray(fun(x1), float)
-    f2 = np.asarray(fun(x2), float)
-    width = np.max(b - a)
-    while width > tol:
-        left = f1 >= f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x1_next = np.where(left, b - _INVPHI * (b - a), x2)
-        x2_next = np.where(left, x1, a + _INVPHI * (b - a))
-        carried = np.where(left, f1, f2)
-        fresh = np.asarray(fun(np.where(left, x1_next, x2_next)), float)
-        f1 = np.where(left, fresh, carried)
-        f2 = np.where(left, carried, fresh)
-        x1, x2 = x1_next, x2_next
-        previous, width = width, np.max(b - a)
-        if not (width < previous):
-            break
-    best = f1 >= f2
-    return np.where(best, x1, x2), np.maximum(f1, f2)
 
 
 class UtilitySpec:
     """Per-agent utility family: a tag plus one step profile per scalar parameter.
 
     Contract: u(a, e) is continuous in (a, e) and quasi-concave in a on the
-    strategy interval, so unimodal line search is a valid inner maximizer
-    whenever a family does not supply closed forms.
+    strategy interval, and a family supplies its best-response interval and
+    best value in closed form, so every regret and epsilon* is exact.  A later
+    family without closed forms must bring a sound upper bound on the best
+    value (say, the located value plus a Lipschitz constant times the final
+    bracket); a search's located value is at most the true maximum, so it
+    under-states regret and certifies nothing.
     """
 
     family: str = "abstract"
@@ -112,12 +77,12 @@ class UtilitySpec:
         raise NotImplementedError
 
     def best_response(self, e, cap):
-        """Closed-form best-response interval (lo, hi) per cell over [0, cap], or None."""
-        return None
+        """Closed-form best-response interval (lo, hi) per cell over [0, cap]."""
+        raise NotImplementedError
 
     def best_value(self, e, cap):
-        """Closed-form maximal utility per cell over [0, cap], or None."""
-        return None
+        """Closed-form maximal utility per cell over [0, cap]."""
+        raise NotImplementedError
 
     def regrid(self, n_cells: int) -> "UtilitySpec":
         """Exact interval averages of every parameter profile on the n-cell grid."""
@@ -221,10 +186,6 @@ class GraphonGame:
         """The kernel's local-aggregate operator on the game grid, built once per game."""
         return KernelOperator(self.graphon, self.grid)
 
-    @property
-    def strategy_interval(self) -> tuple[float, float]:
-        return 0.0, self.cap
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkGame:
@@ -246,10 +207,6 @@ class NetworkGame:
     @property
     def n_players(self) -> int:
         return self.adjacency.shape[0]
-
-    @property
-    def strategy_interval(self) -> tuple[float, float]:
-        return 0.0, self.cap
 
 
 def embed_network(game: NetworkGame) -> GraphonGame:
@@ -314,31 +271,11 @@ def epsilon_star(regrets) -> float:
     return float(np.min(np.maximum(np.arange(n + 1) / n, thresholds)))
 
 
-def best_responses(utilities: UtilitySpec, agg, cap: float):
-    """Best-response interval (lo, hi) and maximal utility per cell over [0, cap]
-    under aggregate agg.
-
-    Uses the family's closed forms when it has them; otherwise golden-section
-    search on the quasi-concave utility supplies both (the interval is then the
-    single point it located to within BEST_RESPONSE_TOL).
-    """
-    interval = utilities.best_response(agg, cap)
-    best = utilities.best_value(agg, cap)
-    if interval is None or best is None:
-        point, value = golden_section_max(
-            lambda a: utilities.evaluate(a, agg), 0.0, cap, BEST_RESPONSE_TOL
-        )
-        if interval is None:
-            interval = (point, point)
-        if best is None:
-            best = value
-    return interval, np.asarray(best, float)
-
-
 def response_regrets(game, values, agg):
     """Best-response interval (lo, hi) per cell under aggregate agg, and the
     regret h = max_a u(a, agg) - u(values, agg) of playing values there."""
-    interval, best = best_responses(game.utilities, agg, game.cap)
+    interval = game.utilities.best_response(agg, game.cap)
+    best = np.asarray(game.utilities.best_value(agg, game.cap), float)
     current = np.asarray(game.utilities.evaluate(values, agg), float)
     return interval, np.maximum(best - current, 0.0)
 
@@ -357,8 +294,7 @@ def regret_profile(game, profile) -> RegretReport:
     """Regret h(i) = max_a u_i(a, e_i) - u_i(f_i, e_i) per cell, plus epsilon*.
 
     Accepts a graphon game with a step profile or a network game with a strategy
-    vector.  The inner maximum uses the family's closed form when available and
-    golden-section search on the quasi-concave utility otherwise.
+    vector.  The inner maximum is the family's closed-form best value.
     """
     if isinstance(game, NetworkGame):
         values = np.asarray(profile.values if isinstance(profile, StepProfile) else profile, float)
@@ -381,10 +317,3 @@ def regret_profile(game, profile) -> RegretReport:
     _, h = response_regrets(game, values, agg)
     return _regret_report(grid, values, agg, h)
 
-
-def is_epsilon_nash(game, profile, eps: float) -> bool:
-    """True iff the fraction of agents with regret <= eps is at least 1 - eps."""
-    if not (eps >= 0):
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    report = regret_profile(game, profile)
-    return bool(np.mean(report.regrets.values <= eps) >= 1.0 - eps)

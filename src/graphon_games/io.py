@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import json
 
 import numpy as np
@@ -69,7 +70,16 @@ def load_profile_csv(path) -> StepProfile:
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
     """{"values": nested rows} or {"n": n, "values": flat row-major}."""
     check_keys(d, ("n", "values"), "step graphon", required=("values",))
-    values = np.array(d["values"], dtype=float)  # a new array, so the graphon adopts it
+    raw = d["values"]
+    rows = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("step graphon values must be a list of numbers or of rows of numbers")
+    # a bool or a numeric string is not a number, though the float cast would take it
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+    if kinds:
+        raise ValueError(f"step graphon values must be numbers, got "
+                         f"{', '.join(sorted(k.__name__ for k in kinds))}")
+    values = np.array(raw, dtype=float)  # a new array, so the graphon adopts it
     if values.ndim == 1:
         check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
         values = values.reshape((integral_size(d["n"], "step graphon n"),) * 2)

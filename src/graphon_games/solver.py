@@ -12,7 +12,6 @@ from .games import (
     GraphonGame,
     RegretReport,
     _regret_report,
-    best_responses,
     epsilon_star,
     regret_profile,
     response_regrets,
@@ -70,7 +69,7 @@ def best_response_map(game: GraphonGame, f: StepProfile,
     select a point by the rule (nearest-point projects the current strategy
     onto the set, so fixed points are exactly the equilibria)."""
     agg = game.operator.apply(f.values)
-    (lo, hi), _ = best_responses(game.utilities, agg, game.cap)
+    lo, hi = game.utilities.best_response(agg, game.cap)
     return StepProfile(f.grid, _select(lo, hi, f.values, rule))
 
 
@@ -121,15 +120,13 @@ def profile_distance(f1: StepProfile, f2: StepProfile, mode: str = "l1",
                      delta: float = 1e-2) -> float:
     """Distance between step profiles, computed on their common refinement.
 
-    Modes: "l1" is ∫|f1 - f2|; "sup" the max gap; "exceed-fraction" the measure
-    of cells differing by more than delta (the a.e.-convergence surrogate).
+    Modes: "l1" is ∫|f1 - f2|; "exceed-fraction" the measure of cells differing
+    by more than delta (the a.e.-convergence surrogate).
     """
     v1, v2, _ = common_grid(f1, f2)
     gap = np.abs(v1 - v2)
     if mode == "l1":
         return float(gap.mean())
-    if mode == "sup":
-        return float(gap.max())
     if mode == "exceed-fraction":
         return float(np.mean(gap > delta))
     raise ValueError(f"unknown distance mode {mode!r}")

@@ -99,6 +99,29 @@ class TestLQSolveCommand:
         ])
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [
+        {"values": [[True, 0.5], [0.5, "0.25"]]},
+        {"n": 2, "values": [True, 0, 0, "1"]},
+    ], ids=["nested", "flat"])
+    def test_step_kernel_values_must_be_numbers(self, workspace, capsys, params):
+        # the float cast would read true as 1 and "0.25" as 0.25
+        io.save_json(workspace / "w.json", {"family": "step", "params": params})
+        out = workspace / "s.csv"
+        assert_input_error(capsys, "step graphon values must be numbers, got bool, str", [
+            "lq", "solve", "--graphon", str(workspace / "w.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "8", "--out", str(out),
+        ])
+        assert not out.exists()
+
+    def test_integer_step_kernel_still_reads(self, workspace):
+        io.save_json(workspace / "w.json", {"family": "step", "params": {"values": [[0, 1], [1, 0]]}})
+        out = workspace / "s.csv"
+        assert main([
+            "lq", "solve", "--graphon", str(workspace / "w.json"),
+            "--lambda", "0.5", "--L", "4.0", "--n", "8", "--out", str(out),
+        ]) == 0
+        assert io.load_profile_csv(out).grid.n_cells == 8
+
     def test_infinite_tolerance_is_an_input_error(self, workspace, capsys):
         # an infinite tolerance would truncate the resolvent at order 1 and pass
         # the residual bound against 10 * inf
@@ -217,7 +240,7 @@ class TestSolveCommand:
         assert not (workspace / "f.csv").exists()
 
     def test_best_response_tolerance_is_not_a_config_key(self, workspace, capsys):
-        # best responses use one fixed golden-section tolerance
+        # best responses are closed forms: there is no search tolerance to set
         io.save_json(workspace / "solver.json", {"best_response_tolerance": 1e-10})
         assert_input_error(
             capsys,

@@ -50,6 +50,10 @@ class TestStepGraphonRoundTrips:
         np.testing.assert_array_equal(io.step_graphon_from_envelope(nested).values, W.values)
         assert W.descriptor()["params"] == nested
 
+    def test_ragged_envelope_is_refused(self):
+        with pytest.raises(ValueError, match="a list of numbers or of rows of numbers"):
+            io.step_graphon_from_envelope({"values": [[0.5, 0.5], 0.5]})
+
 
 class TestGraphonDescriptors:
     @pytest.mark.parametrize("W", [

@@ -18,7 +18,7 @@ from graphon_games.core import (
     resolvent,
     step_approximation,
 )
-from graphon_games.games import PlateauUtility, golden_section_max
+from graphon_games.games import PlateauUtility
 from graphon_games.lq import (
     LQParams,
     SourceFunction,
@@ -129,14 +129,6 @@ class TestLQBestResponse:
 
     def test_cap_binds(self):
         assert plateau_response(30.0, 0.5, 10.0) == (10.0, 10.0)
-
-    def test_golden_section_lands_in_the_response_set(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            lam, e, cap = rng.uniform(0, 1.5), rng.uniform(0, 4), rng.uniform(0.5, 8)
-            lo, hi = plateau_response(e, lam, cap)
-            x, _ = golden_section_max(lambda a: plateau_utility(a, e, lam), 0.0, cap)
-            assert lo - 1e-6 <= float(x) <= hi + 1e-6
 
 
 class TestEquilibriumFromSource:
