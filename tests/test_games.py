@@ -356,9 +356,6 @@ class TestIsEpsilonNash:
         game = GraphonGame(ConstantGraphon(0.0),
                            QuadraticUtility.from_values(grid, beta=0.5, delta=0.0), 2.0, grid)
         assert regret_profile(game, StepProfile.constant(0.5, grid)).epsilon_star == 0.0
-        # the profile ≡ 1 is an exact equilibrium of the plateau game (regret 0 everywhere)
-        game = lq_game(ConstantGraphon(0.5), LQParams(0.5, 4.0), grid)
-        assert regret_profile(game, StepProfile.constant(1.0, grid)).epsilon_star == 0.0
 
     def test_threshold_against_eps_star(self):
         # one violator in four agents: eps* = max(1/4, 0) beats max(0, 0.5)
@@ -385,6 +382,18 @@ class TestIsEpsilonNash:
             lower = rep.epsilon_star - 1.0 / 10 - 1e-9
             if lower >= 0:
                 assert not eps_nash(lower)
+
+    def test_nan_eps_fails_closed(self):
+        # the profile ≡ 1 is an exact equilibrium of this game (regret 0 everywhere)
+        grid = GridSpec(4)
+        game = lq_game(ConstantGraphon(0.5), LQParams(0.5, 4.0), grid)
+        rep = regret_profile(game, StepProfile.constant(1.0, grid))
+        assert rep.epsilon_star == 0.0
+        # a NaN regret certifies no epsilon: epsilon* refuses it rather than reading 0
+        regrets = rep.regrets.values.copy()
+        regrets[0] = float("nan")
+        with pytest.raises(ValueError):
+            epsilon_star(regrets)
 
 
 class TestEmbeddingExactness:
