@@ -445,6 +445,13 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKe
     <= tol, with c the kernel sup.  Requires the contraction condition
     lambda * c < 1; with it, (I - lambda*K)^(-1) = I + lambda*Gamma holds on the
     grid up to the recorded tail bound.
+
+    The sum is formed by Horner's rule, Gamma_1 = W̄ and
+    Gamma_{j+1} = W̄ + lambda (W̄ @ Gamma_j) / N with W̄ the step approximation:
+    the same K - 1 matrix products as the ascending sum.  Each product is
+    written into whichever of two N x N buffers does not hold Gamma_j and
+    finished in place, so W̄ and the two buffers are all that is held (W̄ is
+    the kernel's own matrix for an N-step kernel).  At order 1, Gamma is W̄.
     """
     check_threshold(tol, "tolerance", positive=True)
     check_threshold(lam, "lambda")
@@ -464,11 +471,13 @@ def resolvent(W: Graphon, lam: float, grid: GridSpec, tol: float) -> ResolventKe
 
     n = grid.n_cells
     wbar = step_approximation(W, n).values
-    gamma = wbar.copy()
-    term = wbar
+    gamma, spare = wbar, None
     for _ in range(order - 1):
-        term = lam * (wbar @ term) / n
-        gamma = gamma + term
+        product = np.matmul(wbar, gamma, out=spare)
+        product *= lam
+        product /= n
+        product += wbar
+        gamma, spare = product, (None if gamma is wbar else gamma)
     return ResolventKernel(grid, _freeze(gamma), lam, order, tail(order), c)
 
 
@@ -477,8 +486,10 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
 
     The default sampling grid refines every step resolution involved (making the
     distance exact between step graphons) and is at least 1024 cells per axis
-    when an analytic kernel is present.  No sampling grid may exceed
-    ``MAX_GRID_CELLS`` cells per axis.
+    when an analytic kernel is present.  An explicit resolution must be an
+    integer >= 1.  No sampling grid may exceed ``MAX_GRID_CELLS`` cells per
+    axis.  The difference is taken in place in a copy of W1's samples, so two
+    N x N arrays are held, besides any temporary of sampling W2.
     """
     base = 1
     analytic = False
@@ -498,10 +509,14 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
                 f"exact sampling of step resolutions needs {resolution} cells "
                 f"(cap {MAX_GRID_CELLS}); pass an explicit resolution to approximate"
             )
+    elif (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+          or resolution < 1):
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
     _check_matrix_cells(resolution)
     mids = (np.arange(resolution) + 0.5) / resolution
-    diff = np.abs(_midpoint_samples(W1, mids) - _midpoint_samples(W2, mids))
-    return float(diff.mean())
+    diff = np.array(_midpoint_samples(W1, mids))
+    diff -= _midpoint_samples(W2, mids)
+    return float(np.abs(diff, out=diff).mean())
 
 
 def _midpoint_samples(W: Graphon, mids: np.ndarray) -> np.ndarray:

@@ -512,6 +512,39 @@ class TestMatrixSizeCap:
         np.testing.assert_array_equal(block.apply(np.ones(big)), np.full(big, 0.375))
 
 
+class TestWorkingSets:
+    # N x N arrays held at the peak, at N = 512 (2 MiB each), with 1 MiB to spare
+    N = 512
+    MATRIX = N * N * 8
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_analytic_resolvent_holds_its_kernel_and_two_buffers(self):
+        grid = GridSpec(self.N)
+        peak = self._peak(lambda: resolvent(SeparablePowerGraphon(0.5), 0.5, grid, 1e-8))
+        assert peak <= 3 * self.MATRIX + 2 ** 20
+
+    def test_step_resolvent_holds_two_buffers(self):
+        # the N-step kernel's own matrix is shared, not copied
+        W = StepGraphon(np.random.default_rng(8).random((self.N, self.N)))
+        peak = self._peak(lambda: resolvent(W, 0.5, GridSpec(self.N), 1e-8))
+        assert peak <= 2 * self.MATRIX + 2 ** 20
+
+    def test_l1_distance_holds_two_samples_and_one_half_refined_matrix(self):
+        W = StepGraphon(np.random.default_rng(9).random((128, 128)))
+        half_refined = self.N * 128 * 8
+        peak = self._peak(lambda: graphon_l1_distance(SeparablePowerGraphon(0.5), W,
+                                                      resolution=self.N))
+        assert peak <= 2 * self.MATRIX + half_refined + 2 ** 20
+
+
 class TestGraphonL1Distance:
     def test_identical_is_zero(self):
         assert graphon_l1_distance(ProductGraphon(), ProductGraphon()) == 0.0
@@ -531,6 +564,14 @@ class TestGraphonL1Distance:
         with pytest.raises(GridCompatibilityError):
             graphon_l1_distance(W1, W2)  # exact grid would need lcm = 16256 cells
         assert graphon_l1_distance(W1, W2, resolution=512) == 0.0
+
+    @pytest.mark.parametrize("resolution", [8.5, True, -3, 0, "8"])
+    def test_explicit_resolution_must_be_a_positive_integer(self, resolution):
+        # 8.5 would sample 9 midpoints off any grid, True would run at resolution 1
+        with pytest.raises(ValueError, match=f"integer >= 1, got {resolution!r}"):
+            graphon_l1_distance(ProductGraphon(), ConstantGraphon(0.5), resolution=resolution)
+        assert graphon_l1_distance(ProductGraphon(), ProductGraphon(),
+                                   resolution=np.int64(8)) == 0.0
 
 
 separable_kernels = st.one_of(
@@ -583,6 +624,41 @@ class TestGraphonL1Sampling:
         assert graphon_l1_distance(W, ProductGraphon(), resolution=16) > 0
         with pytest.raises(AssertionError):  # 4 does not divide 10
             graphon_l1_distance(W, ProductGraphon(), resolution=10)
+
+
+def _ascending_neumann_sum(wbar: np.ndarray, lam: float, order: int) -> np.ndarray:
+    """sum_{k=1}^{order} lam^(k-1) W_k, term by term, W_k = W̄ @ W_{k-1} / N."""
+    n = wbar.shape[0]
+    term, total = wbar, wbar.copy()
+    for _ in range(order - 1):
+        term = lam * (wbar @ term) / n
+        total = total + term
+    return total
+
+
+class TestResolventNeumannSum:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["step", "separable"]), cells=st.integers(8, 96),
+           contraction=st.floats(0.0, 0.95, exclude_max=True),
+           tol=st.floats(1e-12, 1e-3), data=st.data())
+    def test_horner_form_equals_the_ascending_sum(self, kind, cells, contraction, tol, data):
+        if kind == "step":
+            n = data.draw(st.integers(2, 24), label="n")
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            W = StepGraphon(np.random.default_rng(seed).random((n, n)))
+        else:
+            W = data.draw(separable_kernels, label="separable")
+        c = W.sup_norm()
+        lam = contraction / c if c >= 1e-6 else contraction
+        kernel = resolvent(W, lam, GridSpec(cells), tol)
+        # the smallest order whose geometric tail c rho^K / (1 - rho) is within tol
+        rho = lam * c
+        order = next(k for k in range(1, 10 ** 4) if c * rho ** k / (1.0 - rho) <= tol)
+        assert kernel.truncation_order == order
+        assert kernel.tail_bound == c * rho ** order / (1.0 - rho)
+        assert kernel.sup_norm == c
+        expected = _ascending_neumann_sum(step_approximation(W, cells).values, lam, order)
+        np.testing.assert_allclose(kernel.gamma, expected, rtol=1e-13, atol=0)
 
 
 class TestSeparableGraphonProperties:
