@@ -81,7 +81,9 @@ class GridSpec:
     n_cells: int
 
     def __post_init__(self):
-        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 1:
+        # a bool is an int, but True is not a cell count
+        if (isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer))
+                or self.n_cells < 1):
             raise ValueError(f"grid needs a positive integer cell count, got {self.n_cells!r}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
 

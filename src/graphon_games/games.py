@@ -29,11 +29,14 @@ class UtilitySpec:
 
     Contract: u(a, e) is continuous in (a, e) and quasi-concave in a on the
     strategy interval, and a family supplies its best-response interval and
-    best value in closed form, so every regret and epsilon* is exact.  A later
-    family without closed forms must bring a sound upper bound on the best
-    value (say, the located value plus a Lipschitz constant times the final
-    bracket); a search's located value is at most the true maximum, so it
-    under-states regret and certifies nothing.
+    best value in closed form, so every regret and epsilon* is exact.  A family
+    implements four methods, which all raise NotImplementedError here:
+    evaluate, best_response, best_value, and response_regrets, which returns
+    the interval and the regret max(best_value - u, 0) in one pass and is what
+    solve and regret_profile call.  A later family without closed forms must
+    bring a sound upper bound on the best value (say, the located value plus a
+    Lipschitz constant times the final bracket); a search's located value is at
+    most the true maximum, so it under-states regret and certifies nothing.
     """
 
     family: str = "abstract"
@@ -84,6 +87,11 @@ class UtilitySpec:
         """Closed-form maximal utility per cell over [0, cap]."""
         raise NotImplementedError
 
+    def response_regrets(self, a, e, cap):
+        """Best-response interval (lo, hi) per cell under aggregate e, and the
+        regret h = max(best_value - u(a, e), 0) of playing a there, in one pass."""
+        raise NotImplementedError
+
     def regrid(self, n_cells: int) -> "UtilitySpec":
         """Exact interval averages of every parameter profile on the n-cell grid."""
         return type(self)({k: p.average_to(n_cells) for k, p in self.params.items()})
@@ -113,29 +121,45 @@ class PlateauUtility(UtilitySpec):
     def lam(self) -> np.ndarray:
         return self.params["lam"].values
 
-    def evaluate(self, a, e):
-        a = np.asarray(a, float)
+    def _plateau(self, e):
+        """The plateau under aggregate e: its ends anchor = lam*e and anchor + 1,
+        and its height anchor^2 / 2."""
         anchor = self.lam * np.asarray(e, float)
+        return anchor, anchor + 1.0, 0.5 * anchor ** 2
+
+    @staticmethod
+    def _value(a, anchor, top, flat):
         below = -0.5 * a ** 2 + anchor * a
-        flat = 0.5 * anchor ** 2
-        above = -0.5 * (a - 1.0) ** 2 + anchor * (a - 1.0)
-        return np.where(a < anchor, below, np.where(a <= anchor + 1.0, flat, above))
+        shifted = a - 1.0
+        above = -0.5 * shifted ** 2 + anchor * shifted
+        return np.where(a < anchor, below, np.where(a <= top, flat, above))
+
+    @staticmethod
+    def _interval(anchor, top, cap):
+        """The correspondence {0} / {cap} / [anchor, top] ∩ [0, cap] as (lo, hi)."""
+        return np.minimum(np.maximum(anchor, 0.0), cap), np.minimum(np.maximum(top, 0.0), cap)
+
+    @staticmethod
+    def _best(anchor, top, flat, cap):
+        # plateau value when reachable; otherwise the boundary a = cap (resp. 0)
+        return np.where(top < 0.0, -0.5 - anchor,
+                        np.where(anchor <= cap, flat, cap * (anchor - 0.5 * cap)))
+
+    def evaluate(self, a, e):
+        return self._value(np.asarray(a, float), *self._plateau(e))
 
     def best_response(self, e, cap):
-        """The correspondence {0} / {cap} / [lam*e, lam*e+1] ∩ [0, cap] as (lo, hi)."""
-        anchor = self.lam * np.asarray(e, float)
-        lo = np.where(anchor + 1.0 < 0.0, 0.0,
-                      np.where(cap < anchor, cap, np.maximum(anchor, 0.0)))
-        hi = np.where(anchor + 1.0 < 0.0, 0.0,
-                      np.where(cap < anchor, cap, np.minimum(anchor + 1.0, cap)))
-        return lo, hi
+        anchor, top, _ = self._plateau(e)
+        return self._interval(anchor, top, cap)
 
     def best_value(self, e, cap):
-        anchor = self.lam * np.asarray(e, float)
-        # plateau value when reachable; otherwise the boundary a = cap (resp. 0)
-        return np.where(anchor + 1.0 < 0.0, -0.5 - anchor,
-                        np.where(anchor <= cap, 0.5 * anchor ** 2,
-                                 cap * (anchor - 0.5 * cap)))
+        return self._best(*self._plateau(e), cap)
+
+    def response_regrets(self, a, e, cap):
+        anchor, top, flat = self._plateau(e)
+        best = self._best(anchor, top, flat, cap)
+        current = self._value(np.asarray(a, float), anchor, top, flat)
+        return self._interval(anchor, top, cap), np.maximum(best - current, 0.0)
 
 
 class QuadraticUtility(UtilitySpec):
@@ -147,16 +171,33 @@ class QuadraticUtility(UtilitySpec):
     def _target(self, e):
         return self.params["beta"].values + self.params["delta"].values * np.asarray(e, float)
 
+    @staticmethod
+    def _value(a, target):
+        return -0.5 * (a - target) ** 2
+
+    @staticmethod
+    def _point(target, cap):
+        # the peak clipped to [0, cap]; np.maximum returns its second argument on a
+        # tie, so a target of -0.0 stays -0.0, as it does under np.clip
+        return np.minimum(np.maximum(0.0, target), cap)
+
     def evaluate(self, a, e):
-        return -0.5 * (np.asarray(a, float) - self._target(e)) ** 2
+        return self._value(np.asarray(a, float), self._target(e))
 
     def best_response(self, e, cap):
-        point = np.clip(self._target(e), 0.0, cap)
+        point = self._point(self._target(e), cap)
         return point, point
 
     def best_value(self, e, cap):
-        point = np.clip(self._target(e), 0.0, cap)
-        return -0.5 * (point - self._target(e)) ** 2
+        target = self._target(e)
+        return self._value(self._point(target, cap), target)
+
+    def response_regrets(self, a, e, cap):
+        target = self._target(e)
+        point = self._point(target, cap)
+        best = self._value(point, target)
+        current = self._value(np.asarray(a, float), target)
+        return (point, point), np.maximum(best - current, 0.0)
 
 
 UTILITY_FAMILIES = {
@@ -271,15 +312,6 @@ def epsilon_star(regrets) -> float:
     return float(np.min(np.maximum(np.arange(n + 1) / n, thresholds)))
 
 
-def response_regrets(game, values, agg):
-    """Best-response interval (lo, hi) per cell under aggregate agg, and the
-    regret h = max_a u(a, agg) - u(values, agg) of playing values there."""
-    interval = game.utilities.best_response(agg, game.cap)
-    best = np.asarray(game.utilities.best_value(agg, game.cap), float)
-    current = np.asarray(game.utilities.evaluate(values, agg), float)
-    return interval, np.maximum(best - current, 0.0)
-
-
 def _regret_report(grid: GridSpec, values, agg, regrets) -> RegretReport:
     """The report of regrets computed for the strategies values under aggregate agg."""
     return RegretReport(
@@ -314,6 +346,6 @@ def regret_profile(game, profile) -> RegretReport:
     if values.min() < -1e-12 or values.max() > game.cap + 1e-12:
         raise ValueError(f"profile leaves the strategy interval [0, {game.cap}]")
 
-    _, h = response_regrets(game, values, agg)
+    _, h = game.utilities.response_regrets(values, agg, game.cap)
     return _regret_report(grid, values, agg, h)
 

@@ -3,19 +3,13 @@ scalar utilities, plus profile distances used as convergence diagnostics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import StepProfile, check_threshold, common_grid
-from .games import (
-    GraphonGame,
-    RegretReport,
-    _regret_report,
-    epsilon_star,
-    regret_profile,
-    response_regrets,
-)
+from .games import GraphonGame, RegretReport, _regret_report, regret_profile
 
 SELECTION_RULES = ("nearest-point", "interval-midpoint", "lower-endpoint")
 
@@ -53,9 +47,26 @@ class SolveTrace:
     converged: bool
 
 
+def _meets_target(regrets: np.ndarray, target: float) -> bool:
+    """Whether epsilon_star(regrets) <= target, by one O(N) count and no sort.
+
+    Exact for regrets >= 0 and target >= 0.  Let c be the number of cells with
+    regret > target.  epsilon* = min_k max(k/N, r_(k+1)) over the descending
+    sort, so epsilon* <= target iff some k has fl(k/N) <= target and
+    r_(k+1) <= target.  The second holds iff k >= c, and fl(k/N) is
+    nondecreasing in k, so the test is fl(c/N) <= target: the same IEEE
+    division as epsilon_star's np.arange(N + 1) / N.  A non-finite regret
+    raises epsilon_star's ValueError (the max propagates NaN).
+    """
+    if not math.isfinite(regrets.max()):
+        raise ValueError("regrets must be finite")
+    return np.count_nonzero(regrets > target) / regrets.size <= target
+
+
 def _select(lo: np.ndarray, hi: np.ndarray, current: np.ndarray, rule: str) -> np.ndarray:
     if rule == "nearest-point":
-        return np.clip(current, lo, hi)
+        # np.clip(current, lo, hi), as lo <= hi, without np.clip's call overhead
+        return np.minimum(np.maximum(current, lo), hi)
     if rule == "interval-midpoint":
         return 0.5 * (lo + hi)
     if rule == "lower-endpoint":
@@ -78,10 +89,12 @@ def solve(game: GraphonGame, f0: StepProfile,
     """Damped best-response iteration f <- (1 - d) f + d * B(f).
 
     Stops when the certified epsilon* meets the regret target, the sup-norm step
-    falls below step_tolerance, or max_iters runs out.  No general convergence
-    guarantee exists; non-convergence is reported through converged=False,
-    not raised.  The kernel is discretized once, as the game's operator; a stop
-    on the regret target reports the regrets its last iteration computed.
+    falls below step_tolerance, or max_iters runs out.  The regret target is
+    tested by an exact O(N) count; epsilon* is sorted once, for the report.
+    No general convergence guarantee exists; non-convergence is reported
+    through converged=False, not raised.  The kernel is discretized once, as
+    the game's operator; a stop on the regret target reports the regrets its
+    last iteration computed.
     """
     if f0.grid != game.grid:
         raise ValueError("initial profile must live on the game grid")
@@ -96,8 +109,8 @@ def solve(game: GraphonGame, f0: StepProfile,
     for _ in range(config.max_iters):
         iterations += 1
         agg = game.operator.apply(f)
-        (lo, hi), regrets = response_regrets(game, f, agg)
-        if epsilon_star(regrets) <= config.regret_target:
+        (lo, hi), regrets = game.utilities.response_regrets(f, agg, game.cap)
+        if _meets_target(regrets, config.regret_target):
             converged = True
             final_report = _regret_report(game.grid, f, agg, regrets)
             break
@@ -128,5 +141,6 @@ def profile_distance(f1: StepProfile, f2: StepProfile, mode: str = "l1",
     if mode == "l1":
         return float(gap.mean())
     if mode == "exceed-fraction":
+        check_threshold(delta, "delta")
         return float(np.mean(gap > delta))
     raise ValueError(f"unknown distance mode {mode!r}")

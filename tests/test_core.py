@@ -54,6 +54,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0)
 
+    def test_rejects_a_bool(self):
+        # True is an int, but not a cell count
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="positive integer cell count"):
+                GridSpec(flag)
+
 
 class TestStepProfile:
     def test_constant_and_at(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graphon_games.core import ConstantGraphon, GridSpec, StepGraphon, StepProfile, local_aggregate
 from graphon_games.games import (
+    UTILITY_FAMILIES,
     GraphonGame,
     NetworkGame,
     PlateauUtility,
@@ -18,6 +19,8 @@ from graphon_games.games import (
 )
 from graphon_games.lq import LQParams, lq_game
 from graphon_games.solver import best_response_map, solve
+
+from closed_form_oracle import assert_same_bits, oracle_regrets
 
 
 def eps_star_oracle(regrets, step=1e-4):
@@ -104,6 +107,74 @@ class TestUtilityFamilies:
         argmax = a[np.argmax(sampled, axis=0)]
         step = a[1] - a[0]
         assert np.all((lo - step <= argmax) & (argmax <= hi + step))
+
+
+# where the anchor lam*e (plateau) or the target beta + delta*e (quadratic) falls
+BRANCHES = ("below", "inside", "above", "edge")
+
+
+@st.composite
+def fused_regret_case(draw, family):
+    """A utility with per-agent parameters, an aggregate e that puts each agent on
+    a drawn branch of its closed forms, a cap, and a strategy a in [0, cap] that
+    is often exactly an end of the best-response interval."""
+    n = draw(st.integers(1, 16))
+    cap = draw(st.floats(0.05, 10.0))
+    names = ("lam",) if family == "plateau_lq" else ("beta", "delta")
+    params = {name: np.empty(n) for name in names}
+    e = np.empty(n)
+    for i in range(n):
+        branch = draw(st.sampled_from(BRANCHES))
+        if branch == "below":    # plateau: lam*e + 1 < 0; quadratic: target < 0
+            point = (-1.0 if family == "plateau_lq" else 0.0) - draw(st.floats(1e-9, 5.0))
+        elif branch == "inside":
+            point = draw(st.floats(-1.0 if family == "plateau_lq" else 0.0, cap))
+        elif branch == "above":  # past the cap
+            point = cap + draw(st.floats(1e-9, 5.0))
+        else:                    # exactly on a boundary of the branches
+            point = draw(st.sampled_from([-1.0, 0.0, -0.0, cap]))
+        if family == "plateau_lq":
+            # lam is 0 or at least 1e-3, so point / lam stays finite
+            lam = 1.0 if branch == "edge" else draw(st.sampled_from([0.0, 0.5])
+                                                    | st.floats(1e-3, 2.0))
+            params["lam"][i] = lam
+            e[i] = point / lam if lam > 0 else draw(st.floats(-10.0, 10.0))
+        else:
+            delta = draw(st.sampled_from([0.0, -0.0])
+                         | st.builds(lambda sign, size: sign * size,
+                                     st.sampled_from([1.0, -1.0]), st.floats(1e-3, 2.0)))
+            if branch == "edge" or delta == 0:
+                # delta is +-0, so the target is beta + (+-0)
+                params["beta"][i], params["delta"][i] = point, 0.0 * delta
+                e[i] = draw(st.floats(-10.0, 10.0))
+            else:
+                beta = draw(st.floats(-3.0, 6.0))
+                params["beta"][i], params["delta"][i] = beta, delta
+                e[i] = (point - beta) / delta
+    utilities = UTILITY_FAMILIES[family].from_values(GridSpec(n), **params)
+    (lo, hi), _ = oracle_regrets(utilities, np.zeros(n), e, cap)
+    a = np.array([draw(st.sampled_from([lo[i], hi[i], 0.0, cap]) | st.floats(0.0, cap))
+                  for i in range(n)])
+    return utilities, a, e, cap
+
+
+class TestResponseRegrets:
+    """The fused closed-form pass gives, bit for bit, what the separate closed forms give."""
+
+    @pytest.mark.parametrize("family", ["plateau_lq", "quadratic"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_separate_closed_forms(self, family, data):
+        u, a, e, cap = data.draw(fused_regret_case(family))
+        (lo, hi), h = u.response_regrets(a, e, cap)
+        (lo_ref, hi_ref), h_ref = oracle_regrets(u, a, e, cap)
+        assert_same_bits(lo, lo_ref)
+        assert_same_bits(hi, hi_ref)
+        assert_same_bits(h, h_ref)
+        # the public methods are the same formulas
+        for got, ref in zip(u.best_response(e, cap), (lo_ref, hi_ref)):
+            assert_same_bits(got, ref)
+        assert_same_bits(np.maximum(u.best_value(e, cap) - u.evaluate(a, e), 0.0), h_ref)
 
 
 class TestGameRecords:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,16 +20,75 @@ from graphon_games.games import (
     PlateauUtility,
     QuadraticUtility,
     embed_network,
+    epsilon_star,
     regret_profile,
 )
 from graphon_games.lq import LQParams, SourceFunction, equilibrium_from_source, lq_game, verify_equilibrium
-from graphon_games.solver import SolverConfig, best_response_map, profile_distance, solve
+from graphon_games.solver import (
+    SolverConfig,
+    _meets_target,
+    best_response_map,
+    profile_distance,
+    solve,
+)
+
+from closed_form_oracle import assert_same_bits, oracle_regrets
 
 
 def two_player_plateau(cap=10.0, lam=0.5):
     grid = GridSpec(2)
     util = PlateauUtility.from_values(grid, lam=lam)
     return GraphonGame(StepGraphon([[0.0, 1.0], [1.0, 0.0]]), util, cap, grid)
+
+
+def reference_solve(game, f0, config):
+    """The damped best-response loop written out with the separate closed forms
+    and the sorted epsilon*: (profile, iterations, steps, final report, converged),
+    the report as (regrets, strategy, aggregate, epsilon*)."""
+    f = f0.values.copy()
+    steps, report, converged, iterations = [], None, False, 0
+    for _ in range(config.max_iters):
+        iterations += 1
+        agg = game.operator.apply(f)
+        (lo, hi), regrets = oracle_regrets(game.utilities, f, agg, game.cap)
+        eps = epsilon_star(regrets)
+        if eps <= config.regret_target:
+            converged = True
+            report = (regrets, f, agg, eps)
+            break
+        update = {"nearest-point": lambda: np.clip(f, lo, hi),
+                  "interval-midpoint": lambda: 0.5 * (lo + hi),
+                  "lower-endpoint": lambda: np.array(lo, dtype=float)}[config.selection_rule]()
+        f_next = (1.0 - config.damping) * f + config.damping * update
+        steps.append(float(np.abs(f_next - f).max()))
+        f = f_next
+        if steps[-1] <= config.step_tolerance:
+            converged = True
+            break
+    if report is None:
+        agg = game.operator.apply(f)
+        _, regrets = oracle_regrets(game.utilities, f, agg, game.cap)
+        report = (regrets, f, agg, epsilon_star(regrets))
+    return f, iterations, np.asarray(steps), report, converged
+
+
+def random_small_game(rng, kind, family):
+    """A random game on at most 24 cells whose operator is of the given kind."""
+    k = int(rng.integers(1, 5))
+    n = k * int(rng.integers(2, 7)) if kind == "block" else int(rng.integers(4, 25))
+    grid = GridSpec(n)
+    W = {"rank-1": lambda: SeparablePowerGraphon(rng.uniform(0.05, 0.95)),
+         "block": lambda: StepGraphon(rng.random((k, k))),
+         "dense": lambda: StepGraphon(rng.random((n, n)))}[kind]()
+    cap = rng.uniform(1.0, 6.0)
+    if family == "plateau_lq":
+        util = PlateauUtility.from_values(grid, lam=rng.uniform(0.0, 1.5, n))
+    else:
+        util = QuadraticUtility.from_values(grid, beta=rng.uniform(-1.0, cap + 1.0, n),
+                                            delta=rng.uniform(-1.5, 1.5, n))
+    game = GraphonGame(W, util, cap, grid)
+    assert game.operator.kind == kind
+    return game, StepProfile(grid, rng.uniform(0.0, cap, n))
 
 
 class TestSolverConfig:
@@ -299,6 +359,92 @@ class TestSolve:
             assert f.values.max() <= cap + 1e-12
 
 
+class TestStopTest:
+    """The per-iteration stop test: a count of the regrets above the target."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 0.1, 1.0]))
+    def test_count_agrees_with_the_sorted_epsilon_star(self, n, seed, scale):
+        # regrets with ties and zeros, some exactly k/N; targets at every k/N,
+        # at every regret value, at epsilon* itself, and one ulp to either side
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[0.0], rng.random(3) * scale, rng.integers(0, n + 1, 3) / n])
+        regrets = rng.choice(pool, n)
+        eps = epsilon_star(regrets)
+        centres = np.concatenate([np.arange(n + 1) / n, pool, [eps]])
+        for t in np.concatenate([centres, np.nextafter(centres, np.inf),
+                                 np.nextafter(centres, -np.inf)]):
+            if t >= 0:
+                assert _meets_target(regrets, float(t)) == (eps <= t), (t, eps)
+
+    def test_non_finite_regret_raises_like_epsilon_star(self):
+        for bad in (np.nan, np.inf):
+            regrets = np.array([0.0, bad, 0.1])
+            with pytest.raises(ValueError, match="regrets must be finite"):
+                epsilon_star(regrets)
+            with pytest.raises(ValueError, match="regrets must be finite"):
+                _meets_target(regrets, 0.5)
+
+
+class TestSolveAgainstReferenceLoop:
+    """solve gives, bit for bit, what the loop with separate closed forms and a
+    sorted epsilon* gives: profile, iterations, steps and final report."""
+
+    EXITS = {
+        # only the regret target can stop it
+        "regret-target": SolverConfig(damping=0.6, step_tolerance=1e-300),
+        # the regret target is out of reach, and every step is below a tolerance
+        # above the cap (a plateau game under the midpoint or lower-endpoint rule
+        # reaches regret 0 before its steps shrink)
+        "step-tolerance": SolverConfig(damping=0.6, regret_target=1e-300, step_tolerance=10.0),
+        # slow damping, so no regret reaches 0 within the iteration cap
+        "max-iters": SolverConfig(max_iters=4, damping=0.1, regret_target=1e-300,
+                                  step_tolerance=1e-300),
+    }
+
+    @pytest.mark.parametrize("exit_by", list(EXITS))
+    @pytest.mark.parametrize("rule", ["nearest-point", "interval-midpoint", "lower-endpoint"])
+    @pytest.mark.parametrize("family", ["plateau_lq", "quadratic"])
+    @pytest.mark.parametrize("kind", ["rank-1", "block", "dense"])
+    def test_bit_identical_to_the_reference_loop(self, kind, family, rule, exit_by):
+        config = dataclasses.replace(self.EXITS[exit_by], selection_rule=rule)
+        rng = np.random.default_rng([3, len(kind), len(family), len(rule), len(exit_by)])
+        exits = set()
+        for _ in range(4):
+            game, f0 = random_small_game(rng, kind, family)
+            profile, trace = solve(game, f0, config)
+            f, iterations, steps, (regrets, strategy, agg, eps), converged = \
+                reference_solve(game, f0, config)
+            assert_same_bits(profile.values, f)
+            assert trace.iterations == iterations
+            assert_same_bits(trace.step_sizes, steps)
+            assert trace.converged == converged
+            report = trace.final_report
+            assert_same_bits(report.regrets.values, regrets)
+            assert_same_bits(report.strategy.values, strategy)
+            assert_same_bits(report.aggregate.values, agg)
+            assert report.epsilon_star == eps
+            if not converged:
+                exits.add("max-iters")
+            elif steps.size == iterations:
+                exits.add("step-tolerance")
+            else:
+                exits.add("regret-target")
+        assert exit_by in exits
+
+    def test_non_finite_regret_raises_in_both(self):
+        # lam * e overflows to inf, so best - current is inf - inf
+        grid = GridSpec(4)
+        game = GraphonGame(ConstantGraphon(1.0), PlateauUtility.from_values(grid, lam=1e308),
+                           4.0, grid)
+        f0 = StepProfile.constant(4.0, grid)
+        with np.errstate(all="ignore"):
+            for run in (solve, reference_solve):
+                with pytest.raises(ValueError, match="regrets must be finite"):
+                    run(game, f0, SolverConfig())
+
+
 class TestProfileDistance:
     def test_identical(self):
         f = StepProfile(GridSpec(4), [1.0, 2.0, 3.0, 4.0])
@@ -334,3 +480,12 @@ class TestProfileDistance:
         f = StepProfile.constant(0.0, GridSpec(2))
         with pytest.raises(ValueError):
             profile_distance(f, f, "l2")
+
+    def test_delta_must_be_a_finite_number(self):
+        # a NaN or infinite delta would read 0.0, a negative one 1.0, True 0.25
+        f1 = StepProfile(GridSpec(4), [0.0, 0.5, 1.0, 1.5])
+        f2 = StepProfile.constant(0.0, GridSpec(4))
+        for bad in (np.nan, np.inf, -1.0, True, "0.1"):
+            with pytest.raises(ValueError, match="delta"):
+                profile_distance(f1, f2, "exceed-fraction", bad)
+        assert profile_distance(f1, f2, "exceed-fraction", 0.0) == 0.75
