@@ -45,10 +45,12 @@ def _shared(values) -> np.ndarray:
 
 
 def _check_unit_matrix(vals: np.ndarray, what: str) -> None:
-    """Reject a non-square matrix or an entry that is not finite or not in [0, 1],
-    with no temporary as large as the matrix (min and max propagate NaN)."""
+    """Reject an empty or non-square matrix or an entry that is not finite or not
+    in [0, 1], with no temporary as large as the matrix (min and max propagate NaN)."""
     if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
         raise ValueError(f"{what} must be square, got shape {vals.shape}")
+    if vals.size == 0:
+        raise ValueError(f"{what} must have at least one entry, got shape {vals.shape}")
     lo, hi = vals.min(), vals.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{what} entries must be finite")

@@ -7,6 +7,10 @@ import dataclasses
 import inspect
 import itertools
 import json
+import json.decoder
+import json.scanner
+import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .core import (
     StepGraphon,
     StepProfile,
     _freeze,
+    _shared,
     check_threshold,
 )
 from .games import PARAM_FILE_KEYS, UTILITY_FAMILIES, GraphonGame, RegretReport, UtilitySpec
@@ -52,9 +57,103 @@ def save_json(path, obj) -> None:
         fh.write("\n")
 
 
+# characters of a JSON array that is only numbers, and of its blank space
+_NUMBER_TEXT = re.compile(r"[0-9+\-.eE, \t\n\r]*")
+_BLANK = re.compile(r"[ \t\n\r]*")
+# characters of array text handed to json at a time: one chunk of Python floats at most
+_CHUNK_CHARS = 1 << 18
+
+
+def _strict_scan(text: str, at: int):
+    """The value json.load reads at ``text[at]``, or json's own error there."""
+    return json.JSONDecoder().scan_once(text, at)[0]
+
+
+def _decode_numbers(text: str, begin: int, end: int) -> np.ndarray:
+    """The numbers of ``text[begin:end]``, an array's text between its brackets,
+    as float64: each chunk, cut at a comma, is parsed by json and copied over."""
+    out = np.empty(text.count(",", begin, end) + 1)
+    done, a = 0, begin
+    while a <= end:
+        cut = text.find(",", min(a + _CHUNK_CHARS, end), end)
+        cut = end if cut < 0 else cut
+        try:
+            chunk = json.loads("[" + text[a:cut] + "]")
+        except json.JSONDecodeError:
+            chunk = []
+        if not chunk:  # a malformed number or an empty slot: json says where
+            _strict_scan(text, begin - 1)
+            raise AssertionError("json read a malformed number array")
+        out[done:done + len(chunk)] = chunk
+        done, a = done + len(chunk), cut + 1
+    return _freeze(out)
+
+
+class _NumberArray(NamedTuple):
+    """An array of JSON numbers, read as float64; ``text[start]`` is its ``[``."""
+
+    floats: np.ndarray
+    text: str
+    start: int
+
+    def as_json(self) -> list:
+        return _strict_scan(self.text, self.start)
+
+
+def _resolve(value, floats: bool = False):
+    """``value`` with each number array as json.load reads it, or, with
+    ``floats``, as float arrays: one flat array, or one per row."""
+    if isinstance(value, _NumberArray):
+        return value.floats if floats else value.as_json()
+    if isinstance(value, list):
+        if floats and value and all(isinstance(row, _NumberArray) for row in value):
+            return [row.floats for row in value]
+        value[:] = map(_resolve, value)
+    return value
+
+
+def _resolve_pairs(pairs) -> dict:
+    """An object as json.load reads it, but a step kernel's values as floats."""
+    envelope = {key for key, _ in pairs} in ({"values"}, {"n", "values"})
+    return {key: _resolve(value, envelope and key == "values") for key, value in pairs}
+
+
+class _StepValuesDecoder(json.JSONDecoder):
+    """json's own Python scanner, but an array of only numbers is read straight
+    into float64, a chunk at a time, and turned back into json's list
+    wherever it is not a step kernel's values."""
+
+    def __init__(self):
+        super().__init__(object_pairs_hook=_resolve_pairs)
+        self.parse_array = self._parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+    @staticmethod
+    def _parse_array(text_and_begin, scan_once):
+        text, begin = text_and_begin
+        end = _NUMBER_TEXT.match(text, begin).end()
+        if text.startswith("]", end) and _BLANK.match(text, begin).end() < end:
+            try:
+                return _NumberArray(_decode_numbers(text, begin, end), text, begin - 1), end + 1
+            except OverflowError:  # an integer beyond float range: json's list keeps it
+                pass
+        return json.decoder.JSONArray(text_and_begin, scan_once)
+
+    def decode(self, s, *args, **kwargs):
+        return _resolve(super().decode(s, *args, **kwargs))
+
+
 def load_json(path):
+    """The JSON value in ``path``, as ``json.load`` reads it, except that the
+    values of a step kernel (an object with keys ``values`` and maybe ``n``)
+    that are only numbers come as read-only float64 arrays: one flat array, or
+    one per row.  They are read a chunk at a time, so the read holds the text,
+    the float arrays and one chunk of Python floats; the floats are json's own,
+    and so is every error.  A text that is not all ASCII is read by
+    ``json.loads`` itself, since the Python scanner takes non-ASCII digits."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    return json.loads(text, cls=_StepValuesDecoder if text.isascii() else None)
 
 
 def save_profile_csv(path, profile: StepProfile) -> None:
@@ -68,22 +167,41 @@ def load_profile_csv(path) -> StepProfile:
 
 
 def step_graphon_from_envelope(d: dict) -> StepGraphon:
-    """{"values": nested rows} or {"n": n, "values": flat row-major}."""
+    """{"values": nested rows} or {"n": n, "values": flat row-major}.
+
+    The values are lists of numbers, or the float arrays ``load_json`` reads
+    them into: a flat array becomes the kernel's matrix where it is, and rows
+    are stacked once.
+    """
     check_keys(d, ("n", "values"), "step graphon", required=("values",))
     raw = d["values"]
-    rows = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
-    if not all(isinstance(row, list) for row in rows):
+    nested = isinstance(raw, list) and bool(raw) and isinstance(raw[0], (list, np.ndarray))
+    rows = raw if nested else [raw]
+    if not all(isinstance(row, list) or isinstance(row, np.ndarray) and row.ndim == 1
+               and row.dtype == float for row in rows):
         raise ValueError("step graphon values must be a list of numbers or of rows of numbers")
     # a bool or a numeric string is not a number, though the float cast would take it
-    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+    lists = (row for row in rows if isinstance(row, list))
+    kinds = set(map(type, itertools.chain.from_iterable(lists))) - {int, float}
     if kinds:
         raise ValueError(f"step graphon values must be numbers, got "
                          f"{', '.join(sorted(k.__name__ for k in kinds))}")
-    values = np.array(raw, dtype=float)  # a new array, so the graphon adopts it
-    if values.ndim == 1:
-        check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
-        values = values.reshape((integral_size(d["n"], "step graphon n"),) * 2)
-    return StepGraphon(_freeze(values))
+    if nested:
+        lengths = sorted({len(row) for row in rows})
+        if lengths != [len(rows)]:
+            raise ValueError(f"step graphon has {len(rows)} rows, so each needs "
+                             f"{len(rows)} values; got rows of lengths {lengths}")
+        if "n" in d and integral_size(d["n"], "step graphon n") != len(rows):
+            raise ValueError(f"step graphon n = {d['n']} does not match its {len(rows)} rows")
+        return StepGraphon(_freeze(np.array(rows, dtype=float)))
+    check_keys(d, ("n", "values"), "step graphon with flat values", required=("n", "values"))
+    n = integral_size(d["n"], "step graphon n")
+    if n < 1:
+        raise ValueError(f"step graphon n must be at least 1, got {n}")
+    if len(raw) != n * n:
+        raise ValueError(f"step graphon with n = {n} needs n * n = {n * n} flat values, "
+                         f"got {len(raw)}")
+    return StepGraphon(_freeze(_shared(raw).reshape(n, n)))
 
 
 def graphon_from_descriptor(d: dict) -> Graphon:

@@ -1,11 +1,14 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphon_games import io, lab
+from graphon_games.cli import main
 from graphon_games.core import (
     ConstantGraphon,
     GridSpec,
@@ -53,6 +56,183 @@ class TestStepGraphonRoundTrips:
     def test_ragged_envelope_is_refused(self):
         with pytest.raises(ValueError, match="a list of numbers or of rows of numbers"):
             io.step_graphon_from_envelope({"values": [[0.5, 0.5], 0.5]})
+
+    @pytest.mark.parametrize("d, match", [
+        ({"n": 0, "values": []}, r"^step graphon n must be at least 1, got 0$"),
+        ({"n": -1, "values": [0.5]}, r"^step graphon n must be at least 1, got -1$"),
+        ({"n": 2, "values": [0.5] * 3},
+         r"^step graphon with n = 2 needs n \* n = 4 flat values, got 3$"),
+        ({"values": [[0.5, 0.5], [0.5]]},
+         r"^step graphon has 2 rows, so each needs 2 values; got rows of lengths \[1, 2\]$"),
+        ({"n": 3, "values": [[0.5, 0.5], [0.5, 0.5]]},
+         r"^step graphon n = 3 does not match its 2 rows$"),
+    ], ids=["n=0", "n=-1", "short", "ragged", "n-vs-rows"])
+    def test_shape_errors_name_the_problem(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            io.step_graphon_from_envelope(d)
+
+    def test_empty_matrix_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^step graphon must have at least one entry"):
+            StepGraphon(np.zeros((0, 0)))
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+def same_json(a, b):
+    """Equal, with the same type at every place (json.load's 1 is an int, not 1.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b or a != a and b != b
+
+
+@st.composite
+def number_spellings(draw):
+    """A JSON number in [0, 1] as some writer might spell it, and its float."""
+    x = draw(st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)))
+    spellings = [json.dumps(x)]
+    if isinstance(x, int):
+        spellings += [f"{x}e0", f"{x}E+00", f"{x}.0", f"{x * 1000}E-3"]
+    else:
+        spellings += [f"{x:.17g}", f"{x:.3e}", f"{x:.6E}".replace("E-0", "E-"), repr(x)]
+        if x == 0.0:
+            spellings += ["-0.0", "-0", "0e+00", "-0E-3"]
+    return draw(st.sampled_from(spellings))
+
+
+BLANK = st.text(" \t\n\r", max_size=3)
+
+
+class TestStepValuesDecoder:
+    """load_json reads a step kernel's values as float arrays, and all else as json.load."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 6), nested=st.booleans(), chunk=st.integers(1, 12), data=st.data())
+    def test_values_are_json_loads_floats(self, tmp_path, monkeypatch, n, nested, chunk, data):
+        monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)  # cross chunk boundaries
+        entries = data.draw(st.lists(number_spellings(), min_size=n * n, max_size=n * n))
+
+        def sep(s):
+            return data.draw(BLANK) + s + data.draw(BLANK)
+
+        def array(items):
+            return "[" + sep(sep(",").join(items)) + "]"
+
+        values = (array([array(entries[i * n:(i + 1) * n]) for i in range(n)]) if nested
+                  else array(entries))
+        text = '{"family": "step", "params": {' + sep('"n": ' + str(n) + ",") + \
+            '"values":' + sep(values) + "}}"
+        path = write_text(tmp_path / "w.json", text)
+        expected = np.array(json.loads(text)["params"]["values"], dtype=float).reshape(n, n)
+        got = io.graphon_from_descriptor(io.load_json(path)).values
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 5), chunk=st.integers(1, 40), data=st.data())
+    def test_saved_game_reads_back(self, tmp_path, monkeypatch, n, chunk, data):
+        # save_json's indent=2 layout: one number per line
+        monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)
+        adjacency = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 1e-3]),
+                                                min_size=n * n, max_size=n * n))).reshape(n, n)
+        net = NetworkGame(adjacency, PlateauUtility.from_values(GridSpec(n), lam=0.5), 4.0)
+        desc = io.game_to_descriptor(embed_network(net))
+        io.save_json(tmp_path / "game.json", desc)
+        loaded = io.load_json(tmp_path / "game.json")
+        rows = loaded["graphon"]["params"]["values"]
+        assert all(isinstance(row, np.ndarray) and not row.flags.writeable for row in rows)
+        loaded["graphon"]["params"]["values"] = [row.tolist() for row in rows]
+        assert same_json(loaded, desc)
+        game = io.game_from_descriptor(io.load_json(tmp_path / "game.json"))
+        assert game.graphon.values.tobytes() == adjacency.tobytes()
+
+    def test_flat_values_are_adopted_without_a_copy(self, tmp_path):
+        path = write_text(tmp_path / "w.json", '{"n": 2, "values": [0, 1, 0.5, 0.25]}')
+        d = io.load_json(path)
+        W = io.step_graphon_from_envelope(d)
+        assert W.values.base is d["values"] and not d["values"].flags.writeable
+        np.testing.assert_array_equal(W.values, [[0.0, 1.0], [0.5, 0.25]])
+
+    def test_number_arrays_elsewhere_are_json_loads_lists(self, tmp_path):
+        plan = {
+            "experiment": "characterization",
+            "game": {"graphon": {"family": "constant", "params": {"c": 0.5}},
+                     "utility": {"family": "quadratic",
+                                 "params": {"beta": [1, 2.5, -0.0, 1e-3], "delta": 0}},
+                     "L": 4, "grid_n": 4},
+            "n_list": [1, 2, 4], "alt_n_list": [[1, 2], [], [3]], "empty": [],
+            "values": [1, 2], "mixed": [1, True, None, "2", [0.5, [1]]],
+            "nested": {"values": [0, 1], "rows": 2},
+        }
+        text = json.dumps(plan, indent=2)
+        path = write_text(tmp_path / "plan.json", text)
+        assert same_json(io.load_json(path), json.loads(text))
+        assert same_json(io.load_json(write_text(tmp_path / "n.json", "[1, 2.0, -0]")),
+                         [1, 2.0, 0])
+        assert io.load_json(write_text(tmp_path / "big.json", "[" + "9" * 400 + "]")) == [
+            int("9" * 400)]
+
+    @pytest.mark.parametrize("text", [
+        "[+1]", "[.5]", "[01]", "[1.]", "[1e]", "[1,,2]", "[1, 2,]", "[,1]", "[-]", "[1 2]",
+        '{"n": 2, "values": [0.5, 0.5,\n 0.5,,\n 0.5]}',
+        '{"values": [[0.5, 0.5], [0.5, 0.5,]]}',
+        '{"values": [0.5,, 0.5], "n": }',  # the first error in the text is the one reported
+        "[1, 2] 3", '{"n": 1, "values": [0.5]', '{"a": [1, 2}', "\ufeff[1]",
+        pytest.param("[" + "0.25, " * 200 + "0.25,, 0.5]", id="empty-slot-after-many"),
+    ])
+    @pytest.mark.parametrize("chunk", [3, 1 << 18])
+    def test_errors_are_json_loads_errors(self, tmp_path, monkeypatch, text, chunk):
+        monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)
+        path = write_text(tmp_path / "bad.json", text)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            with open(path) as fh:
+                json.load(fh)
+        with pytest.raises(json.JSONDecodeError, match=f"^{re.escape(str(expected.value))}$"):
+            io.load_json(path)
+
+    @pytest.mark.parametrize("values, match", [
+        ("[true, 0.5, 0.5, 0.5]", "step graphon values must be numbers, got bool"),
+        ('[0.5, "0.25", 0.5, 0.5]', "step graphon values must be numbers, got str"),
+        ("[NaN, 0.5, 0.5, 0.5]", "step graphon entries must be finite"),
+        ("[[0.5, 0.5], [null, 0.5]]", "step graphon values must be numbers, got NoneType"),
+    ])
+    def test_values_that_are_not_numbers_keep_their_errors(self, tmp_path, values, match):
+        path = write_text(tmp_path / "w.json",
+                          '{"family": "step", "params": {"n": 2, "values": ' + values + "}}")
+        with pytest.raises(ValueError, match=match):
+            io.graphon_from_descriptor(io.load_json(path))
+
+    def test_lq_solve_reports_a_malformed_number(self, tmp_path, capsys):
+        path = write_text(tmp_path / "w.json",
+                          '{"family": "step", "params": {"n": 2, "values": [0.5, .5, 0.5, 0.5]}}')
+        capsys.readouterr()
+        assert main(["lq", "solve", "--graphon", str(path), "--lambda", "0.5", "--L", "4",
+                     "--n", "8", "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "graphon-games: Expecting value: line 1 column 55 (char 54)\n"
+
+    def test_read_holds_the_text_and_the_matrix(self, tmp_path):
+        # 8 MiB of float64 from about 5 MiB of text, never a list of a million floats
+        n = 1024
+        adjacency = np.random.default_rng(0).random(n * n) < 0.3
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"family": "step", "params": {
+            "n": n, "values": adjacency.astype(float).tolist()}}))
+        tracemalloc.start()
+        try:
+            W = io.graphon_from_descriptor(io.load_json(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.n == n and np.array_equal(W.values.ravel(), adjacency)
+        assert peak <= 20 * 2 ** 20, peak / 2 ** 20
 
 
 class TestGraphonDescriptors:
