@@ -120,8 +120,8 @@ def _cmd_lab_run(args) -> int:
     plan = dataclasses.replace(plan, out_dir=args.out)
     result = lab.run_plan(plan, experiment)
     os.makedirs(args.out, exist_ok=True)
-    io.save_json(os.path.join(args.out, "summary.json"), result.summary())
     summary = result.summary()
+    io.save_json(os.path.join(args.out, "summary.json"), summary)
     print(f"experiment {summary['experiment']}: passed={summary['passed']}")
     print(f"wrote {args.out}/summary.json")
     return 0 if summary["passed"] else 1

@@ -20,7 +20,9 @@ DEFAULT_QUADRATURE = 4  # sub-samples per axis when averaging analytic kernels
 MAX_GRID_CELLS = 8192   # cap on the cells per axis of an N x N matrix or a common refinement
 
 
-# N x N arrays the package built and froze itself, by id: shared, never copied
+# Frozen N x N arrays by id, held weakly: each array the package built and froze
+# itself under its own id, and the frozen copy of a caller's float64 array under
+# the caller's id, so the next game built on the same caller array can share it
 _FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -35,13 +37,27 @@ def _shared(values) -> np.ndarray:
     """A read-only float array the package may share by reference.
 
     An array the package froze itself is returned as is.  Anything else is
-    copied once and frozen, read-only caller arrays included: a locked view of
-    a writable base (``np.broadcast_to`` of a writable row, say) still changes
-    under its base.
+    copied and frozen, read-only caller arrays included: a locked view of a
+    writable base (``np.broadcast_to`` of a writable row, say) still changes
+    under its base.  The copy of a native float64 ndarray is recorded under
+    the caller's id and returned again while the caller's bits equal it, so
+    games built on one caller matrix share one copy; a changed array (even
+    ``0.0`` to ``-0.0``), or a new one that reuses a dead array's id with
+    other bits, gets a fresh copy.
     """
-    if isinstance(values, np.ndarray) and _FROZEN.get(id(values)) is values:
+    if not isinstance(values, np.ndarray):
+        return _freeze(np.array(values, dtype=float))
+    known = _FROZEN.get(id(values))
+    if known is values:
         return values
-    return _freeze(np.array(values, dtype=float))
+    reusable = type(values) is np.ndarray and values.dtype == np.float64  # native order
+    if (reusable and known is not None and known.shape == values.shape
+            and np.array_equal(known.view(np.int64), values.view(np.int64))):
+        return known
+    copy = _freeze(np.array(values, dtype=float))
+    if reusable:
+        _FROZEN[id(values)] = copy
+    return copy
 
 
 def _check_unit_matrix(vals: np.ndarray, what: str) -> None:
@@ -66,6 +82,12 @@ def check_threshold(value, what: str, positive: bool = False) -> None:
     if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
         raise ValueError(f"{what} must be finite and {'> 0' if positive else '>= 0'}, "
                          f"got {value!r}")
+
+
+def check_count(value, what: str) -> None:
+    """Reject a count that is not an integer >= 1; a bool or a float is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 class GridCompatibilityError(ValueError):
@@ -322,8 +344,8 @@ def step_approximation(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE) -> StepG
     are taken.  Any other result is an n x n matrix, refused above
     ``MAX_GRID_CELLS``, as is a common refinement of two step grids.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count(n, "n")
+    check_count(m, "m")
     if isinstance(W, StepGraphon) and W.n == n:
         return W
     _check_matrix_cells(n)
@@ -339,8 +361,6 @@ def _factor_averages(W: Graphon, n: int, m: int = DEFAULT_QUADRATURE):
     """m-point midpoint cell averages (ā, b̄) of the factors a and b on the n-grid."""
     if not isinstance(W, SeparableGraphon):
         raise TypeError(f"{type(W).__name__} is neither a step nor a separable kernel")
-    if m < 1:
-        raise ValueError(f"need m >= 1 sub-samples, got {m}")
     pts = (np.arange(n * m) + 0.5) / (n * m)
     abar = np.asarray(W.a(pts), dtype=float).reshape(n, m).mean(axis=1)
     bbar = np.asarray(W.b(pts), dtype=float).reshape(n, m).mean(axis=1)
@@ -409,8 +429,7 @@ def iterated_kernel(W: Graphon, n: int, grid: GridSpec,
     """n-fold integral composition of the kernel, W_n(t,s) = ∫ W(t,x) W_{n-1}(x,s) dx,
     at grid resolution: W_1 is the step approximation and each composition is a
     matrix product scaled by the cell measure."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count(n, "n")
     wbar = step_approximation(W, grid.n_cells, m).values
     kernel = wbar.copy() if n == 1 else wbar  # clipped in place below; wbar is shared
     for _ in range(n - 1):
@@ -513,9 +532,8 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
                 f"exact sampling of step resolutions needs {resolution} cells "
                 f"(cap {MAX_GRID_CELLS}); pass an explicit resolution to approximate"
             )
-    elif (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
-          or resolution < 1):
-        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
+    else:
+        check_count(resolution, "resolution")
     _check_matrix_cells(resolution)
     mids = (np.arange(resolution) + 0.5) / resolution
     diff = np.array(_midpoint_samples(W1, mids))

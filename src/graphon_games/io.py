@@ -52,9 +52,32 @@ def integral_size(x, what: str) -> int:
 
 
 def save_json(path, obj) -> None:
+    """Write ``obj`` as ``json.dump(obj, indent=2)`` lays it out, except that an
+    array of only numbers goes on one line, encoded by json's C encoder: a
+    kernel's rows are one line each.  ``load_json`` reads back the same values."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.write(_json_text(obj))
         fh.write("\n")
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as JSON text, objects and arrays indented by two spaces a
+    level from ``pad``, but arrays of only numbers (and empty ones) inline."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{_json_key(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items())
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and not set(map(type, value)) <= {int, float}:
+        return "[\n" + ",\n".join(inner + _json_text(item, inner) for item in value) + f"\n{pad}]"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """An object key as json writes it: a number, bool or null key as its JSON text."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
 
 
 # characters of a JSON array that is only numbers, and of its blank space

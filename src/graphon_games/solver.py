@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepProfile, check_threshold, common_grid
+from .core import StepProfile, check_count, check_threshold, common_grid
 from .games import GraphonGame, RegretReport, _regret_report, regret_profile
 
 SELECTION_RULES = ("nearest-point", "interval-midpoint", "lower-endpoint")
@@ -27,9 +27,7 @@ class SolverConfig:
             check_threshold(getattr(self, name), name, positive=True)
         if not self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_count(self.max_iters, "max_iters")
         if self.selection_rule not in SELECTION_RULES:
             raise ValueError(
                 f"unknown selection rule {self.selection_rule!r}; choose from {SELECTION_RULES}"

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from graphon_games import io
+from graphon_games import io, lab
 from graphon_games.cli import main
 from graphon_games.core import GridSpec, SeparablePowerGraphon, StepProfile
 from graphon_games.lq import LQParams, SourceFunction, equilibrium_from_source
@@ -428,6 +428,30 @@ class TestLabRunCommand:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["passed"] is True
         assert (outdir / "coarsened_equilibrium.csv").exists()
+
+    def test_summary_is_built_once_and_written_as_printed(self, workspace, capsys, monkeypatch):
+        calls = []
+
+        class Result:
+            def summary(self):
+                calls.append(1)
+                return {"experiment": "stub", "skipped": [], "passed": True}
+
+        monkeypatch.setattr(lab, "run_plan", lambda plan, experiment: Result())
+        io.save_json(workspace / "plan.json", {
+            "experiment": "coarsened",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16],
+        })
+        outdir = workspace / "results"
+        capsys.readouterr()
+        assert main(["lab", "run", "--plan", str(workspace / "plan.json"),
+                     "--out", str(outdir)]) == 0
+        assert len(calls) == 1
+        assert (outdir / "summary.json").read_text() == (
+            '{\n  "experiment": "stub",\n  "skipped": [],\n  "passed": true\n}\n')
+        assert capsys.readouterr().out == (
+            f"experiment stub: passed=True\nwrote {outdir}/summary.json\n")
 
     def test_failed_threshold_gives_nonzero_exit(self, workspace):
         plan = {

@@ -228,6 +228,24 @@ class TestStepApproximation:
             np.testing.assert_array_equal(W.values, before)
             source[...] = before if source is base else before[0]
 
+    @pytest.mark.parametrize("W, n, m, match", [
+        (SeparablePowerGraphon(0.5), 2.0, 4, r"^n must be an integer >= 1, got 2\.0$"),
+        (SeparablePowerGraphon(0.5), True, 4, r"^n must be an integer >= 1, got True$"),
+        (StepGraphon(np.eye(2)), 2.0, 4, r"^n must be an integer >= 1, got 2\.0$"),
+        (ProductGraphon(), 0, 4, r"^n must be an integer >= 1, got 0$"),
+        (ProductGraphon(), 4, 1.5, r"^m must be an integer >= 1, got 1\.5$"),
+        (ProductGraphon(), 4, False, r"^m must be an integer >= 1, got False$"),
+        (StepGraphon(np.eye(2)), 2, 0, r"^m must be an integer >= 1, got 0$"),
+    ], ids=["float-n", "bool-n", "float-n-matching-step", "zero-n", "float-m", "bool-m",
+            "zero-m-matching-step"])
+    def test_sizes_must_be_counts(self, W, n, m, match):
+        with pytest.raises(ValueError, match=match):
+            step_approximation(W, n, m)
+
+    def test_numpy_integer_sizes_are_counts(self):
+        W = step_approximation(ProductGraphon(), np.int64(4), np.int32(2))
+        np.testing.assert_array_equal(W.values, step_approximation(ProductGraphon(), 4, 2).values)
+
     def test_step_refinement_and_coarsening_exact(self):
         W = StepGraphon([[0.0, 1.0], [0.5, 0.25]])
         fine = step_approximation(W, 4)
@@ -331,6 +349,11 @@ class TestIteratedKernel:
         grid = GridSpec(32)
         k1 = iterated_kernel(ProductGraphon(), 1, grid)
         np.testing.assert_array_equal(k1.values, step_approximation(ProductGraphon(), 32).values)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_order_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {n!r}$"):
+            iterated_kernel(ProductGraphon(), n, GridSpec(4))
 
     def test_constant_kernel_squares(self):
         grid = GridSpec(64)

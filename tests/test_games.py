@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +239,93 @@ class TestGameRecords:
             np.testing.assert_array_equal(net.adjacency, before)
             np.testing.assert_array_equal(embed_network(net).graphon.values, before)
             source[...] = before if source is base else before[0]
+
+
+ENTRIES = (0.0, -0.0, 0.25, 1.0)
+
+
+def build_on(values, as_network: bool):
+    """The frozen matrix of a game or a step kernel built on ``values``."""
+    if as_network:
+        util = PlateauUtility.from_values(GridSpec(len(values)), lam=0.5)
+        return NetworkGame(values, util, 4.0).adjacency
+    return StepGraphon(values).values
+
+
+class TestCallerMatrixSharing:
+    """Games built on one caller float64 matrix share one frozen copy while its bits hold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), layout=st.sampled_from(["c", "sliced", "read-only", "broadcast"]),
+           builds=st.tuples(st.booleans(), st.booleans()), data=st.data())
+    def test_copy_is_reused_exactly_when_bits_are_unchanged(self, n, layout, builds, data):
+        entries = st.sampled_from(ENTRIES)
+        if layout == "broadcast":
+            source = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+            values = np.broadcast_to(source, (n, n))
+        else:
+            cols = 2 * n if layout == "sliced" else n
+            flat = data.draw(st.lists(entries, min_size=n * cols, max_size=n * cols))
+            source = np.array(flat).reshape(n, cols)
+            values = source[:, ::2] if layout == "sliced" else source.view()
+            values.flags.writeable = layout != "read-only"
+        bits = [np.array(values).view(np.int64)]
+        first = build_on(values, builds[0])
+        if data.draw(st.booleans(), label="change one entry"):
+            at = data.draw(st.integers(0, source.size - 1), label="index")
+            source.flat[at] = data.draw(entries, label="new entry")
+        bits.append(np.array(values).view(np.int64))
+        second = build_on(values, builds[1])
+        assert (second is first) == np.array_equal(bits[0], bits[1])
+        for matrix, want in zip((first, second), bits):
+            np.testing.assert_array_equal(matrix.view(np.int64), want)
+            assert not matrix.flags.writeable and not np.shares_memory(matrix, source)
+
+    def test_zero_turned_negative_gets_a_fresh_copy(self):
+        adjacency = np.zeros((2, 2))
+        first = build_on(adjacency, True)
+        adjacency[0, 1] = -0.0  # == 0.0, but other bits
+        second = build_on(adjacency, True)
+        assert second is not first
+        assert np.signbit(second[0, 1]) and not np.signbit(first[0, 1])
+        assert build_on(adjacency, False) is second
+
+    @pytest.mark.parametrize("values", [
+        np.eye(3, dtype=int), np.eye(3, dtype=bool), np.eye(3, dtype=np.float32),
+        np.eye(3).astype(">f8"), np.eye(3).tolist(),
+    ], ids=["int", "bool", "float32", "big-endian", "list"])
+    def test_other_callers_are_always_copied(self, values):
+        first, second = build_on(values, True), build_on(values, False)
+        assert second is not first
+        np.testing.assert_array_equal(first, np.eye(3))
+        np.testing.assert_array_equal(second, np.eye(3))
+
+    def test_two_games_and_a_kernel_hold_one_copy(self):
+        n = 1024
+        adjacency = (np.random.default_rng(7).random((n, n)) < 0.3).astype(float)
+        grid = GridSpec(n)
+        plateau = PlateauUtility.from_values(grid, lam=0.5)
+        quadratic = QuadraticUtility.from_values(grid, beta=0.5, delta=0.25)
+        tracemalloc.start()
+        try:
+            games = (NetworkGame(adjacency, plateau, 4.0), NetworkGame(adjacency, quadratic, 4.0))
+            kernel = StepGraphon(adjacency)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the copy and the bool result of one bit comparison, not three copies
+        assert peak <= 1.15 * adjacency.nbytes
+        assert games[0].adjacency is games[1].adjacency is kernel.values
+
+    def test_shared_copy_dies_with_its_games(self):
+        adjacency = np.full((4, 4), 0.5)
+        games = [NetworkGame(adjacency, PlateauUtility.from_values(GridSpec(4), lam=0.5), 4.0),
+                 StepGraphon(adjacency)]
+        copy = weakref.ref(games[0].adjacency)
+        assert games[1].values is copy()
+        del games
+        gc.collect()
+        assert copy() is None
 
 
 class TestEmbeddings:

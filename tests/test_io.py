@@ -235,6 +235,73 @@ class TestStepValuesDecoder:
         assert peak <= 20 * 2 ** 20, peak / 2 ** 20
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+                | st.floats() | st.text(max_size=4))
+JSON_KEYS = st.text(max_size=4) | st.integers(-9, 9) | st.booleans() | st.none() | st.floats()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(JSON_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+def has_number_array(value) -> bool:
+    """Whether ``value`` holds a non-empty array of only ints and floats."""
+    if isinstance(value, dict):
+        return any(map(has_number_array, value.values()))
+    if isinstance(value, (list, tuple)):
+        return (bool(value) and all(type(x) in (int, float) for x in value)
+                or any(map(has_number_array, value)))
+    return False
+
+
+class TestSaveJson:
+    """save_json indents objects as json.dump(indent=2) does, but puts each
+    array of only numbers on one line; the values read back are the same."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON_VALUES)
+    def test_same_values_and_indented_layout(self, tmp_path, value):
+        path = tmp_path / "v.json"
+        io.save_json(path, value)
+        indented = json.dumps(value, indent=2) + "\n"
+        assert same_json(json.loads(path.read_text()), json.loads(indented))
+        if not has_number_array(value):
+            assert path.read_text() == indented
+
+    def test_rows_go_on_one_line_each(self, tmp_path):
+        path = tmp_path / "w.json"
+        io.save_json(path, {"family": "step",
+                            "params": {"n": 2, "values": [[0, 1.5], [-0.0, 1e-300]]},
+                            "skipped": [], "mixed": [1, True]})
+        assert path.read_text() == (
+            '{\n  "family": "step",\n  "params": {\n    "n": 2,\n    "values": [\n'
+            '      [0, 1.5],\n      [-0.0, 1e-300]\n    ]\n  },\n  "skipped": [],\n'
+            '  "mixed": [\n    1,\n    true\n  ]\n}\n')
+
+    def test_keys_json_refuses_are_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            io.save_json(tmp_path / "k.json", {(1, 2): 0})
+
+    def test_network_game_reads_back_as_the_indented_file_did(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 16
+        net = NetworkGame((rng.random((n, n)) < 0.3) * rng.random((n, n)),
+                          QuadraticUtility.from_values(GridSpec(n), beta=rng.random(n),
+                                                       delta=-rng.random(n)), 4.0)
+        desc = io.game_to_descriptor(embed_network(net))
+        io.save_json(tmp_path / "new.json", desc)
+        with open(tmp_path / "old.json", "w") as fh:
+            json.dump(desc, fh, indent=2)
+        new, old = io.load_json(tmp_path / "new.json"), io.load_json(tmp_path / "old.json")
+        rows = [d["graphon"]["params"].pop("values") for d in (new, old)]
+        assert [row.tobytes() for row in rows[0]] == [row.tobytes() for row in rows[1]]
+        assert same_json(new, old)
+        lines = {line.strip().rstrip(",") for line in (tmp_path / "new.json").open()}
+        assert all(json.dumps(row) in lines for row in desc["graphon"]["params"]["values"])
+
+
 class TestGraphonDescriptors:
     @pytest.mark.parametrize("W", [
         ConstantGraphon(0.3),
