@@ -29,7 +29,6 @@ from .games import (
     embed_network,
     embed_strategy,
     epsilon_star,
-    network_local_aggregate,
     regret_profile,
 )
 from .lab import (

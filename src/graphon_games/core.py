@@ -256,7 +256,8 @@ def _identity(x):
 
 def ConstantGraphon(c: float) -> SeparableGraphon:
     """W(t, s) = c with c in [0, 1]."""
-    if not 0.0 <= c <= 1.0:
+    check_threshold(c, "constant graphon value")
+    if c > 1.0:
         raise ValueError(f"constant graphon value {c} outside [0, 1]")
     c = float(c)
     return SeparableGraphon("constant", (("c", c),), partial(_constant, c),

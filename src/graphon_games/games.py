@@ -1,5 +1,5 @@
-"""Game records for network and graphon games, the step embeddings between them,
-and the epsilon-Nash certifier built on the per-agent regret profile."""
+"""Game records for graphon games and the network games that are their step
+games, and the epsilon-Nash certifier built on the per-agent regret profile."""
 
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from .core import (
     StepProfile,
     Graphon,
     StepGraphon,
-    _check_unit_matrix,
-    _shared,
     check_step_resolution,
+    check_threshold,
 )
 
 # utility parameter names in descriptor files, where they differ from the code's
@@ -216,8 +215,7 @@ class GraphonGame:
     grid: GridSpec
 
     def __post_init__(self):
-        if not 0.0 < self.cap < np.inf:
-            raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
+        check_threshold(self.cap, "strategy cap", positive=True)
         if self.utilities.grid != self.grid:
             raise ValueError("utility profiles must live on the game grid")
         check_step_resolution(self.graphon, self.grid)
@@ -228,55 +226,37 @@ class GraphonGame:
         return KernelOperator(self.graphon, self.grid)
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkGame:
-    """Finite game on a weighted directed network with local-aggregate externalities."""
+class NetworkGame(GraphonGame):
+    """Finite game on a weighted directed network with local-aggregate externalities.
 
-    adjacency: np.ndarray
-    utilities: UtilitySpec
-    cap: float
+    It is the n-step graphon game it embeds as: the adjacency matrix is its step
+    kernel, each player is one of n cells, and its aggregate (1/n) * A @ s is the
+    dense kind of the game's operator.
+    """
 
-    def __post_init__(self):
-        adj = _shared(self.adjacency)  # read-only, so embed_network shares it
-        _check_unit_matrix(adj, "adjacency")  # so the step embedding is a graphon
-        if not 0.0 < self.cap < np.inf:
-            raise ValueError(f"strategy cap must be finite and positive, got {self.cap}")
-        if self.utilities.grid.n_cells != adj.shape[0]:
-            raise ValueError("utility profiles must have one entry per player")
-        object.__setattr__(self, "adjacency", adj)
+    def __init__(self, adjacency, utilities: UtilitySpec, cap: float):
+        graphon = StepGraphon(adjacency)
+        super().__init__(graphon, utilities, cap, GridSpec(graphon.n))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.graphon.values
 
     @property
     def n_players(self) -> int:
-        return self.adjacency.shape[0]
+        return self.grid.n_cells
 
 
 def embed_network(game: NetworkGame) -> GraphonGame:
-    """Step embedding of an n-player game as a graphon game on n cells:
-    adjacency becomes the n-step graphon, parameter vectors become n-step profiles."""
-    return GraphonGame(
-        StepGraphon(game.adjacency),
-        game.utilities,
-        game.cap,
-        GridSpec(game.n_players),
-    )
+    """Step embedding of an n-player game as a graphon game on n cells: a network
+    game already is that game, so it is returned as is."""
+    return game
 
 
 def embed_strategy(s) -> StepProfile:
     """The n-step profile taking value s[i] on cell i, for n = len(s)."""
     s = np.asarray(s, dtype=float)
     return StepProfile(GridSpec(s.size), s)
-
-
-def network_local_aggregate(game: NetworkGame, s) -> np.ndarray:
-    """e(i) = (1/n) * sum_j A[i, j] s[j].
-
-    The 1/n normalization makes this identical, bit for bit, to the graphon
-    local aggregate of the embedded objects evaluated on cell i.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (game.n_players,):
-        raise ValueError(f"expected {game.n_players} strategies, got shape {s.shape}")
-    return game.adjacency @ s / game.n_players
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,30 +302,23 @@ def _regret_report(grid: GridSpec, values, agg, regrets) -> RegretReport:
     )
 
 
-def regret_profile(game, profile) -> RegretReport:
+def regret_profile(game: GraphonGame, profile) -> RegretReport:
     """Regret h(i) = max_a u_i(a, e_i) - u_i(f_i, e_i) per cell, plus epsilon*.
 
-    Accepts a graphon game with a step profile or a network game with a strategy
-    vector.  The inner maximum is the family's closed-form best value.
+    Accepts a step profile, or a strategy vector with one value per cell (per
+    player of a network game).  The inner maximum is the family's closed-form
+    best value.
     """
-    if isinstance(game, NetworkGame):
-        values = np.asarray(profile.values if isinstance(profile, StepProfile) else profile, float)
-        grid = GridSpec(game.n_players)
-        if values.shape != (grid.n_cells,):
-            raise ValueError(f"expected {grid.n_cells} strategies, got shape {values.shape}")
-        agg = network_local_aggregate(game, values)
-    else:
-        f = profile if isinstance(profile, StepProfile) else StepProfile(game.grid, profile)
-        if f.grid != game.grid:
-            raise ValueError(
-                f"profile grid {f.grid.n_cells} does not match game grid {game.grid.n_cells}"
-            )
-        values = f.values
-        grid = game.grid
-        agg = game.operator.apply(values)
+    f = profile if isinstance(profile, StepProfile) else StepProfile(game.grid, profile)
+    if f.grid != game.grid:
+        raise ValueError(
+            f"profile grid {f.grid.n_cells} does not match game grid {game.grid.n_cells}"
+        )
+    values = f.values
+    agg = game.operator.apply(values)
     if values.min() < -1e-12 or values.max() > game.cap + 1e-12:
         raise ValueError(f"profile leaves the strategy interval [0, {game.cap}]")
 
     _, h = game.utilities.response_regrets(values, agg, game.cap)
-    return _regret_report(grid, values, agg, h)
+    return _regret_report(game.grid, values, agg, h)
 

@@ -24,7 +24,6 @@ from . import io
 from .core import (
     GridCompatibilityError,
     GridSpec,
-    StepGraphon,
     StepProfile,
     check_threshold,
     graphon_l1_distance,
@@ -35,7 +34,6 @@ from .games import (
     NetworkGame,
     RegretReport,
     UtilitySpec,
-    embed_network,
     embed_strategy,
     regret_profile,
 )
@@ -100,7 +98,7 @@ class ExperimentPlan:
         """Each network game of the sequence with its (kernel, utility) L1 errors
         to the target game; built once per plan, like ``reference``."""
         return [
-            (net, (graphon_l1_distance(self.game.graphon, StepGraphon(net.adjacency),
+            (net, (graphon_l1_distance(self.game.graphon, net.graphon,
                                        resolution=self.game.grid.n_cells),
                    _utility_l1_error(self.game.utilities, net.utilities)))
             for net in build_network_sequence(self.game, self.n_list)
@@ -324,8 +322,7 @@ def _limit(plan: ExperimentPlan, reference: StepProfile,
     solved = []
     skipped = []
     for net, errors in plan.sequence:
-        embedded = embed_network(net)
-        profile, trace = solve(embedded, _solver_start(plan, csv, embedded.grid), plan.solver)
+        profile, trace = solve(net, _solver_start(plan, csv, net.grid), plan.solver)
         if not trace.converged:
             skipped.append(net.n_players)
             continue

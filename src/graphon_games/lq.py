@@ -37,10 +37,8 @@ class LQParams:
     cap: float
 
     def __post_init__(self):
-        if not (self.lam >= 0):
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not 0.0 < self.cap < np.inf:
-            raise ValueError(f"cap must be finite and positive, got {self.cap}")
+        check_threshold(self.lam, "lam")
+        check_threshold(self.cap, "cap", positive=True)
 
     def min_admissible_cap(self, sup_norm: float) -> float:
         """Smallest cap for which both sufficiency bounds hold at this lam."""
@@ -203,6 +201,7 @@ def injection_check(W: Graphon, params: LQParams, g1: SourceFunction, g2: Source
     ||s_g1 - s_g2||_1 >= ||g1 - g2||_1 / (1 + lam*||W||); passed is that bound
     up to numerical slack.
     """
+    check_threshold(slack, "slack")
     if g1.grid != g2.grid:
         raise ValueError("sources must share a grid")
     s1 = equilibrium_from_source(W, params, g1, tol)

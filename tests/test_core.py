@@ -157,6 +157,11 @@ class TestGraphonFamilies:
         with pytest.raises(ValueError):
             StepGraphon(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.2, True, "0.5"])
+    def test_constant_value_must_be_a_number_in_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="constant graphon value"):
+            ConstantGraphon(bad)
+
     def test_step_rejects_non_finite_entries(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):

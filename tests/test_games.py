@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_games.core import ConstantGraphon, GridSpec, StepGraphon, StepProfile, local_aggregate
+from graphon_games.core import ConstantGraphon, GridSpec, StepGraphon, StepProfile
 from graphon_games.games import (
     UTILITY_FAMILIES,
     GraphonGame,
@@ -18,7 +18,6 @@ from graphon_games.games import (
     embed_network,
     embed_strategy,
     epsilon_star,
-    network_local_aggregate,
     regret_profile,
 )
 from graphon_games.lq import LQParams, lq_game
@@ -200,14 +199,14 @@ class TestGameRecords:
         with pytest.raises(ValueError):
             NetworkGame(np.zeros((3, 3)), util, 4.0)
 
-    def test_cap_must_be_finite_and_positive(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0, True, "4"])
+    def test_cap_must_be_finite_and_positive(self, bad):
         grid = GridSpec(2)
         util = PlateauUtility.from_values(grid, lam=0.5)
-        for bad in (np.nan, np.inf, -1.0):
-            with pytest.raises(ValueError, match="cap"):
-                GraphonGame(ConstantGraphon(0.5), util, bad, grid)
-            with pytest.raises(ValueError, match="cap"):
-                NetworkGame(np.zeros((2, 2)), util, bad)
+        with pytest.raises(ValueError, match="cap"):
+            GraphonGame(ConstantGraphon(0.5), util, bad, grid)
+        with pytest.raises(ValueError, match="cap"):
+            NetworkGame(np.zeros((2, 2)), util, bad)
 
     def test_network_game_rejects_non_finite_adjacency(self):
         util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
@@ -336,6 +335,12 @@ class TestEmbeddings:
         assert game.graphon.evaluate(0.3, 0.8) == 1.0
         assert game.cap == 4.0
 
+    def test_embed_network_returns_the_game_itself(self):
+        net = random_network(np.random.default_rng(5), n=6)
+        assert embed_network(net) is net
+        assert isinstance(net, GraphonGame) and net.grid == GridSpec(6)
+        assert net.graphon.values is net.adjacency and net.operator.kind == "dense"
+
     def test_embedding_shares_the_adjacency(self):
         rng = np.random.default_rng(3)
         net = random_network(rng, n=16)
@@ -361,25 +366,25 @@ class TestEmbeddings:
 
 
 class TestNetworkAggregate:
-    def test_zero_adjacency(self):
-        util = PlateauUtility.from_values(GridSpec(3), lam=0.5)
-        net = NetworkGame(np.zeros((3, 3)), util, 4.0)
-        np.testing.assert_array_equal(network_local_aggregate(net, [1.0, 2.0, 3.0]), 0.0)
-
     def test_two_player_example(self):
         # oracle: e = ((0*2 + 1*4)/2, (1*2 + 0*4)/2) = (2, 1)
         util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
         net = NetworkGame(np.array([[0.0, 1.0], [1.0, 0.0]]), util, 10.0)
-        np.testing.assert_array_equal(network_local_aggregate(net, [2.0, 4.0]), [2.0, 1.0])
+        np.testing.assert_array_equal(regret_profile(net, [2.0, 4.0]).aggregate.values,
+                                      [2.0, 1.0])
 
-    def test_agreement_with_embedded_aggregate_bitwise(self):
+    def test_aggregate_is_the_scaled_adjacency_product_bitwise(self):
+        # oracle: e = A @ s / n, formed here from the caller's matrix
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            net = random_network(rng)
-            s = rng.uniform(0, net.cap, net.n_players)
-            direct = network_local_aggregate(net, s)
-            embedded = local_aggregate(embed_network(net).graphon, embed_strategy(s))
-            np.testing.assert_array_equal(direct, embedded.values)
+        for trial in range(20):
+            n = int(rng.integers(1, 33))
+            adjacency = (rng.random((n, n)) < 0.5) * rng.random((n, n))
+            s = rng.uniform(0, 4.0, n)
+            util = (PlateauUtility.from_values(GridSpec(n), lam=0.5) if trial % 2
+                    else QuadraticUtility.from_values(GridSpec(n), beta=1.0, delta=0.5))
+            net = NetworkGame(adjacency, util, 4.0)
+            np.testing.assert_array_equal(regret_profile(net, s).aggregate.values,
+                                          adjacency @ s / n)
 
 
 class TestRegretProfile:
@@ -432,7 +437,7 @@ class TestRegretProfile:
         s = rng.uniform(0, net.cap, 5)
         rep = regret_profile(net, s)
         np.testing.assert_array_equal(rep.strategy.values, s)
-        np.testing.assert_array_equal(rep.aggregate.values, network_local_aggregate(net, s))
+        np.testing.assert_array_equal(rep.aggregate.values, net.adjacency @ s / 5)
 
 
 class TestEpsilonStar:

@@ -68,15 +68,14 @@ class TestLQParams:
         with pytest.raises(ContractionError):
             LQParams(1.5, 4.0).validate_for_equilibrium(1.0)
 
-    def test_non_finite_inputs_fail_closed(self):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "4"])
+    def test_non_finite_inputs_fail_closed(self, bad):
         with pytest.raises(ContractionError):
             LQParams(0.5, 4.0).min_admissible_cap(float("nan"))
-        with pytest.raises(ValueError):
-            LQParams(float("nan"), 4.0)
-        with pytest.raises(ValueError):
-            LQParams(0.5, float("nan"))
-        with pytest.raises(ValueError):
-            LQParams(0.5, float("inf"))
+        with pytest.raises(ValueError, match="lam"):
+            LQParams(bad, 4.0)
+        with pytest.raises(ValueError, match="cap"):
+            LQParams(0.5, bad)
 
     def test_cap_bounds_reported_with_required_minimum(self):
         with pytest.raises(ValueError, match="2.5"):
@@ -327,6 +326,12 @@ class TestInjectionCheck:
         assert passed
         bound = np.abs(g1.values - g2.values).mean() / (1 + params.lam * W.sup_norm())
         assert distance >= bound - 1e-6
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-6, True, "4"])
+    def test_slack_must_be_a_finite_number(self, bad):
+        g = SourceFunction.constant(0.5, GridSpec(4))
+        with pytest.raises(ValueError, match="slack"):
+            injection_check(ConstantGraphon(0.5), LQParams(0.5, 4.0), g, g, slack=bad)
 
     def test_grid_mismatch_rejected(self):
         g1 = SourceFunction.constant(1.0, GridSpec(8))

@@ -17,9 +17,9 @@ from graphon_games.core import (
 )
 from graphon_games.games import (
     GraphonGame,
+    NetworkGame,
     PlateauUtility,
     QuadraticUtility,
-    embed_network,
     epsilon_star,
     regret_profile,
 )
@@ -191,6 +191,27 @@ class TestSolve:
         ref = equilibrium_from_source(SeparablePowerGraphon(0.5), params,
                                       SourceFunction.constant(1.0, grid))
         assert np.abs(prof.values - ref.values).max() <= 1e-3
+
+    @pytest.mark.parametrize("family", ["plateau_lq", "quadratic"])
+    def test_network_game_solves_as_its_hand_built_step_game(self, family):
+        # a network game is the n-step graphon game on n cells: same profile bits,
+        # same iteration count as that game built by hand from the same matrix
+        n, cap = 48, 4.0
+        rng = np.random.default_rng(31)
+        adjacency = (rng.random((n, n)) < 0.3) * rng.random((n, n))
+        grid = GridSpec(n)
+        if family == "plateau_lq":
+            util = PlateauUtility.from_values(grid, lam=0.5)
+        else:
+            util = QuadraticUtility.from_values(grid, beta=rng.random(n), delta=rng.random(n))
+        f0 = StepProfile.constant(cap, grid)
+        by_net, net_trace = solve(NetworkGame(adjacency, util, cap), f0)
+        by_hand, hand_trace = solve(GraphonGame(StepGraphon(adjacency), util, cap, grid), f0)
+        assert net_trace.converged and hand_trace.converged
+        assert net_trace.iterations == hand_trace.iterations
+        np.testing.assert_array_equal(by_net.values, by_hand.values)
+        np.testing.assert_array_equal(net_trace.final_report.regrets.values,
+                                      hand_trace.final_report.regrets.values)
 
     def test_separable_kernel_is_never_discretized(self, monkeypatch):
         # the rank-1 aggregate comes from the factor averages, never the N x N matrix
