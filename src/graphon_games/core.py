@@ -143,6 +143,8 @@ class StepProfile:
 
     @classmethod
     def constant(cls, value: float, grid: GridSpec) -> "StepProfile":
+        if isinstance(value, (bool, np.bool_, str)):
+            raise ValueError(f"profile constant must be a number, got {value!r}")
         return cls(grid, np.full(grid.n_cells, float(value)))
 
     def refine(self, n_cells: int) -> "StepProfile":
@@ -271,6 +273,7 @@ def ProductGraphon() -> SeparableGraphon:
 
 def SeparablePowerGraphon(alpha: float) -> SeparableGraphon:
     """W(t, s) = t^alpha * s^(1-alpha) with alpha in (0, 1); not symmetric."""
+    check_threshold(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     alpha = float(alpha)

@@ -314,18 +314,25 @@ def _format_field(x) -> str:
     return str(x)
 
 
+def parse_profile_arg(text: str, cap: float | None = None) -> float | StepProfile:
+    """A profile argument as written: "const:v" is the number v ("const:L" the
+    cap, when one is given), and anything else a CSV path, read as a profile."""
+    if text.startswith("const:"):
+        raw = text.split(":", 1)[1]
+        return cap if raw == "L" and cap is not None else float(raw)
+    return load_profile_csv(text)
+
+
 def parse_profile_source(text: str, grid: GridSpec | None = None,
                          cap: float | None = None) -> StepProfile:
     """Resolve a CLI profile argument: "const:v" (needs a grid) or a CSV path."""
-    if text.startswith("const:"):
-        raw = text.split(":", 1)[1]
-        value = cap if raw == "L" and cap is not None else float(raw)
+    value = parse_profile_arg(text, cap)
+    if not isinstance(value, StepProfile):
         if grid is None:
             raise ValueError("constant profiles need an explicit grid size")
         return StepProfile.constant(value, grid)
-    profile = load_profile_csv(text)
-    if grid is not None and profile.grid != grid:
+    if grid is not None and value.grid != grid:
         raise ValueError(
-            f"profile {text} has {profile.grid.n_cells} cells, expected {grid.n_cells}"
+            f"profile {text} has {value.grid.n_cells} cells, expected {grid.n_cells}"
         )
-    return profile
+    return value

@@ -15,7 +15,7 @@ composes both directions on two differently built sequences.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,26 +40,21 @@ from .games import (
 from .lq import CertificationError, SourceFunction, equilibrium_from_source, plateau_params
 from .solver import SolverConfig, profile_distance, solve
 
-ROW_HEADER = (
-    "n",
-    "w_l1_error",
-    "u_l1_error",
-    "profile_l1",
-    "profile_exceed_fraction",
-    "epsilon_n",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Target game, the sequence sizes, where its equilibrium comes from, and the
-    tolerances every threshold is checked against (never hard-coded downstream)."""
+    tolerances every threshold is checked against (never hard-coded downstream).
+
+    ``source`` is the resolvent source g: a number for a constant, or a profile,
+    averaged onto the grid of the game that uses it.  ``solver_init`` is the
+    solver's start: a number, a profile on the game grid, or None for the cap.
+    """
 
     game: GraphonGame
     n_list: tuple[int, ...] = (8, 16, 32, 64, 128, 256)
     equilibrium_source: str = "resolvent"  # or "solver"
-    source_value: float = 1.0
-    source_profile: StepProfile | None = None
+    source: float | StepProfile = 1.0
     resolvent_tol: float = 1e-8
     certification_tol: float = 1e-6
     eps_tolerance: float = 0.05
@@ -67,7 +62,7 @@ class ExperimentPlan:
     limit_eps_tolerance: float = 0.02
     exceed_delta: float = 1e-2
     solver: SolverConfig = field(default_factory=SolverConfig)
-    solver_init: str = "const:L"
+    solver_init: float | StepProfile | None = None
     alt_n_list: tuple[int, ...] = (12, 24, 48, 96, 192)
     alt_grid: int = 768
     cross_l1_tolerance: float = 2e-2
@@ -78,11 +73,16 @@ class ExperimentPlan:
         if self.equilibrium_source not in ("resolvent", "solver"):
             raise ValueError(f"unknown equilibrium source {self.equilibrium_source!r}")
         check_threshold(self.resolvent_tol, "resolvent_tol", positive=True)
-        for name in ("source_value", "certification_tol", "eps_tolerance", "limit_l1_tolerance",
+        for name in ("certification_tol", "eps_tolerance", "limit_l1_tolerance",
                      "limit_eps_tolerance", "exceed_delta", "cross_l1_tolerance"):
             check_threshold(getattr(self, name), name)
-        if not isinstance(self.solver_init, str):
-            raise ValueError(f"solver_init must be const:v or a CSV path, got {self.solver_init!r}")
+        if not isinstance(self.source, StepProfile):
+            check_threshold(self.source, "source_g")
+        init, n = self.solver_init, self.game.grid.n_cells
+        if isinstance(init, StepProfile) and init.grid.n_cells != n:
+            raise ValueError(f"solver_init has {init.grid.n_cells} cells, expected {n}")
+        if init is not None and not isinstance(init, StepProfile):
+            check_threshold(init, "solver_init")
 
     @cached_property
     def reference(self) -> tuple[StepProfile, RegretReport]:
@@ -91,7 +91,7 @@ class ExperimentPlan:
         Computed once per plan: the plan is frozen, and ``replace`` makes a new
         plan that computes its own.
         """
-        return _certified_reference(self, _csv_start(self))
+        return _certified_reference(self)
 
     @cached_property
     def sequence(self) -> list[tuple[NetworkGame, tuple[float, float]]]:
@@ -105,37 +105,29 @@ class ExperimentPlan:
         ]
 
 
-def _csv_start(plan: ExperimentPlan) -> StepProfile | None:
-    """A CSV ``solver_init`` read as a profile on the plan's game grid; None for a
-    constant start."""
-    if plan.solver_init.startswith("const:"):
-        return None
-    return io.parse_profile_source(plan.solver_init, plan.game.grid, plan.game.cap)
+def _on_grid(value: float | StepProfile | None, grid: GridSpec,
+             cap: float | None = None) -> StepProfile:
+    """A plan input on ``grid``: a profile as its averages there, a number (None:
+    the cap) as a constant.  A constant is never averaged, so it stays exact."""
+    if isinstance(value, StepProfile):
+        return value.average_to(grid.n_cells)
+    return StepProfile.constant(cap if value is None else value, grid)
 
 
-def _solver_start(plan: ExperimentPlan, csv: StepProfile | None, grid: GridSpec) -> StepProfile:
-    """The solver's start on this grid: the constant ``solver_init``, or the CSV
-    profile's averages on it."""
-    if csv is None:
-        return io.parse_profile_source(plan.solver_init, grid, plan.game.cap)
-    return csv.average_to(grid.n_cells)
+def _averaged(value, n_cells: int):
+    """A profile input averaged onto n_cells cells; a number or None as is."""
+    return value.average_to(n_cells) if isinstance(value, StepProfile) else value
 
 
-def _certified_reference(plan: ExperimentPlan,
-                         csv: StepProfile | None) -> tuple[StepProfile, RegretReport]:
+def _certified_reference(plan: ExperimentPlan) -> tuple[StepProfile, RegretReport]:
     game = plan.game
     if plan.equilibrium_source == "resolvent":
-        params = plateau_params(game)
-        if plan.source_profile is not None:
-            prof = plan.source_profile
-            if prof.grid != game.grid:
-                prof = prof.average_to(game.grid.n_cells)
-            g = SourceFunction(prof)
-        else:
-            g = SourceFunction.constant(plan.source_value, game.grid)
-        profile = equilibrium_from_source(game.graphon, params, g, plan.resolvent_tol)
+        g = SourceFunction(_on_grid(plan.source, game.grid))
+        profile = equilibrium_from_source(game.graphon, plateau_params(game), g,
+                                          plan.resolvent_tol)
     else:
-        profile, trace = solve(game, _solver_start(plan, csv, game.grid), plan.solver)
+        start = _on_grid(plan.solver_init, game.grid, game.cap)
+        profile, trace = solve(game, start, plan.solver)
         if not trace.converged:
             raise CertificationError("solver source did not converge on the target game")
     report = regret_profile(game, profile)
@@ -168,10 +160,6 @@ class ConvergenceRow:
     profile_l1: float
     profile_exceed_fraction: float
     epsilon_n: float
-
-    def astuple(self):
-        return (self.n, self.w_l1_error, self.u_l1_error, self.profile_l1,
-                self.profile_exceed_fraction, self.epsilon_n)
 
 
 def build_network_sequence(game: GraphonGame, n_list) -> list[NetworkGame]:
@@ -251,11 +239,8 @@ def run_coarsened_equilibrium_experiment(plan: ExperimentPlan) -> CoarsenedResul
     certify its epsilon_n there; passes when epsilon_n at the largest size is
     below the plan tolerance (the trend across sizes is also recorded)."""
     result = _coarsened(plan, plan.reference)
-    if plan.out_dir:
-        _write_rows(plan.out_dir, "coarsened_equilibrium.csv", result.rows)
-        io.save_profile_csv(
-            os.path.join(plan.out_dir, "reference_profile.csv"), result.reference
-        )
+    _write(plan.out_dir, {"coarsened_equilibrium.csv": result.rows},
+           {"reference_profile.csv": result.reference})
     return result
 
 
@@ -308,21 +293,18 @@ def run_limit_equilibrium_experiment(plan: ExperimentPlan) -> LimitResult:
     """Solve each finite game of the sequence independently, check the solved
     profiles settle toward the largest game's profile (refined to the reference
     grid), and certify that limit in the target graphon game."""
-    result = _limit(plan, plan.reference[0], _csv_start(plan))
-    if plan.out_dir:
-        _write_rows(plan.out_dir, "limit_equilibrium.csv", result.rows)
-        io.save_profile_csv(os.path.join(plan.out_dir, "limit_profile.csv"),
-                            result.limit_profile)
+    result = _limit(plan, plan.reference[0])
+    _write(plan.out_dir, {"limit_equilibrium.csv": result.rows},
+           {"limit_profile.csv": result.limit_profile})
     return result
 
 
-def _limit(plan: ExperimentPlan, reference: StepProfile,
-           csv: StepProfile | None) -> LimitResult:
-    # a CSV start is a profile on the target grid, averaged onto each network
+def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
+    # a profile start lies on the target grid and is averaged onto each network
     solved = []
     skipped = []
     for net, errors in plan.sequence:
-        profile, trace = solve(net, _solver_start(plan, csv, net.grid), plan.solver)
+        profile, trace = solve(net, _on_grid(plan.solver_init, net.grid, net.cap), plan.solver)
         if not trace.converged:
             skipped.append(net.n_players)
             continue
@@ -389,29 +371,27 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
     in the target game, and the two limits must agree in L1.  When the alt grid
     is the game grid, re-gridding is the identity, so the alternate sequence
     shares the target game and its certified reference (one reference solve).
-    A CSV ``solver_init`` is a profile on the target grid; the alternate plan
-    starts from its averages on the alternate grid.
+    Profile inputs (``source``, ``solver_init``) lie on the target grid; the
+    alternate plan holds their averages on the alternate grid.
     """
     _check_sizes(plan.alt_n_list, plan.alt_grid)
     reference = plan.reference
-    csv = _csv_start(plan)
     if plan.alt_grid == plan.game.grid.n_cells:
         alt_plan = replace(plan, n_list=plan.alt_n_list)
-        alt_reference, alt_csv = reference, csv
+        alt_reference = reference
     else:
         alt_plan = replace(
             plan,
             game=regrid_game(plan.game, plan.alt_grid),
             n_list=plan.alt_n_list,
-            source_profile=(plan.source_profile.average_to(plan.alt_grid)
-                            if plan.source_profile is not None else None),
+            source=_averaged(plan.source, plan.alt_grid),
+            solver_init=_averaged(plan.solver_init, plan.alt_grid),
         )
-        alt_csv = csv.average_to(plan.alt_grid) if csv is not None else None
-        alt_reference = _certified_reference(alt_plan, alt_csv)
+        alt_reference = alt_plan.reference
     primary_coarsened = _coarsened(plan, reference)
     alt_coarsened = _coarsened(alt_plan, alt_reference)
-    primary_limit = _limit(plan, reference[0], csv)
-    alt_limit = _limit(alt_plan, alt_reference[0], alt_csv)
+    primary_limit = _limit(plan, reference[0])
+    alt_limit = _limit(alt_plan, alt_reference[0])
     cross_l1 = profile_distance(primary_limit.limit_profile, alt_limit.limit_profile, "l1")
     passed = (
         primary_coarsened.passed and alt_coarsened.passed
@@ -422,26 +402,28 @@ def run_characterization_suite(plan: ExperimentPlan) -> CharacterizationReport:
         primary_coarsened, alt_coarsened, primary_limit, alt_limit,
         cross_l1, plan.cross_l1_tolerance, passed,
     )
-    if plan.out_dir:
-        _write_rows(plan.out_dir, "primary_coarsened.csv", primary_coarsened.rows)
-        _write_rows(plan.out_dir, "alt_coarsened.csv", alt_coarsened.rows)
-        _write_rows(plan.out_dir, "primary_limit.csv", primary_limit.rows)
-        _write_rows(plan.out_dir, "alt_limit.csv", alt_limit.rows)
-        io.save_profile_csv(
-            os.path.join(plan.out_dir, "primary_limit_profile.csv"),
-            primary_limit.limit_profile,
-        )
-        io.save_profile_csv(
-            os.path.join(plan.out_dir, "alt_limit_profile.csv"),
-            alt_limit.limit_profile,
-        )
+    _write(plan.out_dir,
+           {"primary_coarsened.csv": primary_coarsened.rows,
+            "alt_coarsened.csv": alt_coarsened.rows,
+            "primary_limit.csv": primary_limit.rows,
+            "alt_limit.csv": alt_limit.rows},
+           {"primary_limit_profile.csv": primary_limit.limit_profile,
+            "alt_limit_profile.csv": alt_limit.limit_profile})
     return report
 
 
-def _write_rows(out_dir: str, name: str, rows) -> None:
+def _write(out_dir: str | None, tables: dict[str, list[ConvergenceRow]],
+           profiles: dict[str, StepProfile]) -> None:
+    """Each table as a CSV of convergence rows and each profile as a profile CSV,
+    by file name under ``out_dir``; nothing without an ``out_dir``."""
+    if not out_dir:
+        return
     os.makedirs(out_dir, exist_ok=True)
-    io.write_table_csv(os.path.join(out_dir, name), ROW_HEADER,
-                       [row.astuple() for row in rows])
+    header = [f.name for f in fields(ConvergenceRow)]
+    for name, rows in tables.items():
+        io.write_table_csv(os.path.join(out_dir, name), header, [astuple(row) for row in rows])
+    for name, profile in profiles.items():
+        io.save_profile_csv(os.path.join(out_dir, name), profile)
 
 
 def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, str]:
@@ -454,7 +436,7 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     relative to base_dir.
     """
     names = {f.name for f in fields(ExperimentPlan)}
-    names -= {"source_value", "source_profile", "out_dir"}  # set by "source_g" and the caller
+    names -= {"source", "out_dir"}  # set by "source_g" and the caller
     io.check_keys(d, names | {"experiment", "source_g"}, "plan file", required=("game",))
     kwargs = {key: d[key] for key in names & d.keys()}
     kwargs["game"] = io.game_from_descriptor(d["game"])
@@ -467,16 +449,22 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
         kwargs["alt_grid"] = io.integral_size(d["alt_grid"], "alt_grid")
     if "solver" in d:
         kwargs["solver"] = io.solver_config_from_descriptor(d["solver"])
-    init = kwargs.get("solver_init")
-    if isinstance(init, str) and not init.startswith("const:"):
-        kwargs["solver_init"] = os.path.join(base_dir, init)
+
+    def profile_arg(text: str, cap: float | None = None) -> float | StepProfile:
+        if not text.startswith("const:"):
+            text = os.path.join(base_dir, text)
+        return io.parse_profile_arg(text, cap)
+
+    if "solver_init" in d:
+        init = d["solver_init"]
+        if not isinstance(init, str):
+            raise ValueError(f"solver_init must be const:v or a CSV path, got {init!r}")
+        kwargs["solver_init"] = profile_arg(init, kwargs["game"].cap)
     source = d.get("source_g")
-    if isinstance(source, str) and source.startswith("const:"):
-        kwargs["source_value"] = float(source.split(":", 1)[1])
-    elif isinstance(source, str):
-        kwargs["source_profile"] = io.load_profile_csv(os.path.join(base_dir, source))
+    if isinstance(source, str):
+        kwargs["source"] = profile_arg(source)
     elif source is not None:
-        kwargs["source_value"] = source  # checked as a number by the plan
+        kwargs["source"] = source  # checked as a number by the plan
     plan = ExperimentPlan(**kwargs)
     return plan, d.get("experiment", "characterization")
 

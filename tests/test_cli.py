@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -346,6 +347,32 @@ class TestLabRunCommand:
                      "--out", str(workspace / "results")]) == 0
         assert json.loads((workspace / "results" / "summary.json").read_text())["passed"]
 
+    def test_each_profile_file_is_read_once(self, workspace, monkeypatch):
+        # both references, both limit experiments and the alternate plan on 96
+        # cells use the two CSVs; each is read once, when the plan is parsed
+        io.save_profile_csv(workspace / "g.csv", StepProfile.constant(1.0, GridSpec(64)))
+        io.save_profile_csv(workspace / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
+        io.save_json(workspace / "plan.json", {
+            "experiment": "characterization",
+            "game": json.loads((workspace / "game.json").read_text()),
+            "n_list": [8, 16, 32, 64],
+            "alt_n_list": [12, 24, 48, 96],
+            "alt_grid": 96,
+            "source_g": "g.csv",
+            "solver_init": "init.csv",
+        })
+        reads = []
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return load_profile_csv(path)
+
+        load_profile_csv = io.load_profile_csv
+        monkeypatch.setattr(io, "load_profile_csv", counting)
+        assert main(["lab", "run", "--plan", str(workspace / "plan.json"),
+                     "--out", str(workspace / "results")]) == 0
+        assert sorted(reads) == ["g.csv", "init.csv"]
+
     def test_uncertified_reference_exits_1_without_a_traceback(self, workspace, capsys):
         io.save_json(workspace / "plan.json", {
             "experiment": "coarsened",
@@ -367,6 +394,11 @@ class TestLabRunCommand:
         self.run_plan_with(workspace, capsys, r"game descriptor is missing keys \['L'\]",
                            game=game)
 
+    def test_csv_solver_init_off_the_game_grid_is_an_input_error(self, workspace, capsys):
+        io.save_profile_csv(workspace / "init.csv", StepProfile.constant(4.0, GridSpec(32)))
+        self.run_plan_with(workspace, capsys, r"solver_init has 32 cells, expected 64",
+                           equilibrium_source="solver", solver_init="init.csv")
+
     def test_misspelled_plan_key_is_an_input_error(self, workspace, capsys):
         self.run_plan_with(workspace, capsys, r"plan file has unknown keys \['eps_tolerence'\]",
                            eps_tolerence=-1.0)
@@ -385,7 +417,7 @@ class TestLabRunCommand:
         ({"resolvent_tol": 0}, "resolvent_tol must be finite and > 0"),
         ({"exceed_delta": "q"}, "exceed_delta must be a number"),
         ({"solver_init": 3}, "solver_init must be const:v or a CSV path, got 3"),
-        ({"source_g": [1, 2]}, r"source_value must be a number, got \[1, 2\]"),
+        ({"source_g": [1, 2]}, r"source_g must be a number, got \[1, 2\]"),
         ({"solver": {"damping": "0.5"}}, "damping must be a number, got '0.5'"),
         ({"solver": {"max_iters": 2.5}}, "max_iters must be an integer >= 1, got 2.5"),
         ({"solver": {"regret_target": None}}, "regret_target must be a number, got None"),

@@ -66,6 +66,11 @@ class TestStepProfile:
         p = StepProfile.constant(2.5, GridSpec(8))
         assert np.all(p.values == 2.5)
 
+    @pytest.mark.parametrize("bad", ["1", True, np.True_])
+    def test_constant_refuses_a_bool_or_a_string(self, bad):
+        with pytest.raises(ValueError, match="profile constant must be a number"):
+            StepProfile.constant(bad, GridSpec(4))
+
     def test_refine_repeats_exactly(self):
         p = StepProfile(GridSpec(2), [1.0, 3.0])
         r = p.refine(6)
@@ -151,8 +156,6 @@ class TestGraphonFamilies:
         with pytest.raises(ValueError):
             ConstantGraphon(1.2)
         with pytest.raises(ValueError):
-            SeparablePowerGraphon(1.0)
-        with pytest.raises(ValueError):
             StepGraphon([[0.5, 1.5], [0.0, 0.0]])
         with pytest.raises(ValueError):
             StepGraphon(np.zeros((2, 3)))
@@ -161,6 +164,11 @@ class TestGraphonFamilies:
     def test_constant_value_must_be_a_number_in_unit_interval(self, bad):
         with pytest.raises(ValueError, match="constant graphon value"):
             ConstantGraphon(bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan"), -0.1, True, "0.5", None])
+    def test_power_alpha_must_be_a_number_in_the_open_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="alpha must"):
+            SeparablePowerGraphon(bad)
 
     def test_step_rejects_non_finite_entries(self):
         for bad in (np.nan, np.inf, -np.inf):

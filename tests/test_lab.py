@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -297,8 +295,8 @@ class TestCharacterizationSuite:
 
     def test_distinct_sources_give_distinct_certified_equilibria(self):
         game = reference_game(48)
-        plan1 = ExperimentPlan(game, n_list=(6, 12, 24, 48), source_value=1.0)
-        plan2 = ExperimentPlan(game, n_list=(6, 12, 24, 48), source_value=0.2)
+        plan1 = ExperimentPlan(game, n_list=(6, 12, 24, 48), source=1.0)
+        plan2 = ExperimentPlan(game, n_list=(6, 12, 24, 48), source=0.2)
         r1 = run_coarsened_equilibrium_experiment(plan1)
         r2 = run_coarsened_equilibrium_experiment(plan2)
         assert r1.passed and r2.passed
@@ -356,7 +354,7 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match=r"plan file has unknown keys \['eps_tolerence'\]"):
             plan_from_descriptor({**self.DESCRIPTOR, "eps_tolerence": -1.0})
 
-    @pytest.mark.parametrize("key", ["out_dir", "source_value", "source_profile"])
+    @pytest.mark.parametrize("key", ["out_dir", "source"])
     def test_fields_set_elsewhere_are_not_plan_keys(self, key):
         with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
             plan_from_descriptor({**self.DESCRIPTOR, key: 1.0})
@@ -370,8 +368,8 @@ class TestPlanParsing:
              "equilibrium_source": "solver"},
             tmp_path.name,
         )
-        assert plan.solver_init == os.path.join(tmp_path.name, "init.csv")
-        np.testing.assert_array_equal(plan.source_profile.values, 1.0)
+        np.testing.assert_array_equal(plan.solver_init.values, 4.0)
+        np.testing.assert_array_equal(plan.source.values, 1.0)
         assert run_plan(plan, "coarsened").passed
 
     def test_unknown_experiment(self):
