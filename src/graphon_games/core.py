@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -18,6 +19,7 @@ import numpy as np
 
 DEFAULT_QUADRATURE = 4  # sub-samples per axis when averaging analytic kernels
 MAX_GRID_CELLS = 8192   # cap on the cells per axis of an N x N matrix or a common refinement
+SAMPLE_CHUNK = 2 ** 16  # kernel samples taken at a time by graphon_l1_distance (512 KiB)
 
 
 # Frozen N x N arrays by id, held weakly: each array the package built and froze
@@ -515,8 +517,11 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
     distance exact between step graphons) and is at least 1024 cells per axis
     when an analytic kernel is present.  An explicit resolution must be an
     integer >= 1.  No sampling grid may exceed ``MAX_GRID_CELLS`` cells per
-    axis.  The difference is taken in place in a copy of W1's samples, so two
-    N x N arrays are held, besides any temporary of sampling W2.
+    axis.  W1's samples are written once into one N x N array and W2's are
+    subtracted from it in place, ``SAMPLE_CHUNK`` cells at a time where a kernel
+    factors, so one N x N array and a chunk are held, besides the temporary of
+    evaluating a kernel that does not factor.  A distance that is not finite
+    (a kernel sample that is NaN or infinite) raises ``ValueError``.
     """
     base = 1
     analytic = False
@@ -540,19 +545,42 @@ def graphon_l1_distance(W1: Graphon, W2: Graphon, resolution: int | None = None)
         check_count(resolution, "resolution")
     _check_matrix_cells(resolution)
     mids = (np.arange(resolution) + 0.5) / resolution
-    diff = np.array(_midpoint_samples(W1, mids))
-    diff -= _midpoint_samples(W2, mids)
-    return float(np.abs(diff, out=diff).mean())
+    diff = np.empty((resolution, resolution))
+    _sample_into(diff, W1, mids, np.copyto)
+    _sample_into(diff, W2, mids, operator.isub)
+    distance = float(np.abs(diff, out=diff).mean())
+    if not math.isfinite(distance):
+        raise ValueError(f"kernel samples must be finite, got an L1 distance of {distance}")
+    return distance
 
 
-def _midpoint_samples(W: Graphon, mids: np.ndarray) -> np.ndarray:
-    """W(mids[i], mids[j]) for all i, j, without gathering points where W factors.
+def _sample_into(out: np.ndarray, W: Graphon, mids: np.ndarray, op: Callable) -> None:
+    """op(target, samples) over ``out`` with the samples W(mids[i], mids[j]).
 
-    A separable kernel, or a step kernel whose resolution divides the sampling
-    grid, is its one-point step approximation on that grid: the outer product
-    of its factor samples, or its entries repeated along both axes.  Both equal
-    ``evaluate`` on the broadcast grid bit for bit.
+    A separable kernel, or a step kernel whose resolution k divides the R-cell
+    sampling grid, is sampled as its one-point step approximation
+    ``step_approximation(W, R, m=1)`` on that grid, without gathering points:
+    the outer product of its factor samples, or its entries broadcast over the
+    (k, R/k, k, R/k) blocks of ``out``, taken ``SAMPLE_CHUNK`` cells at a time
+    and clipped to [0, 1] as that step approximation clips them (an R-step
+    kernel is its own approximation, unclipped).  Both equal ``evaluate`` on
+    the broadcast grid bit for bit.  Any other kernel is evaluated there.
     """
-    if isinstance(W, SeparableGraphon) or (isinstance(W, StepGraphon) and mids.size % W.n == 0):
-        return step_approximation(W, mids.size, m=1).values
-    return np.asarray(W.evaluate(mids[:, None], mids[None, :]), dtype=float)
+    n = mids.size
+    if isinstance(W, StepGraphon) and n % W.n == 0:
+        k = W.n
+        blocks = out.reshape(k, n // k, k, n // k)
+        rows = max(1, SAMPLE_CHUNK // k)
+        for i in range(0, k, rows):
+            chunk = W.values[i:i + rows]
+            if k < n:
+                chunk = np.clip(chunk, 0.0, 1.0)
+            op(blocks[i:i + rows], chunk[:, None, :, None])
+    elif isinstance(W, SeparableGraphon):
+        abar, bbar = _factor_averages(W, n, m=1)
+        rows = max(1, SAMPLE_CHUNK // n)
+        for i in range(0, n, rows):
+            chunk = np.outer(abar[i:i + rows], bbar)
+            op(out[i:i + rows], np.clip(chunk, 0.0, 1.0, out=chunk))
+    else:
+        op(out, np.asarray(W.evaluate(mids[:, None], mids[None, :]), dtype=float))

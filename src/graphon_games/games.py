@@ -4,7 +4,7 @@ games, and the epsilon-Nash certifier built on the per-agent regret profile."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,6 +106,17 @@ class UtilitySpec:
         return {"family": self.family, "params": out}
 
 
+def _where(cond, if_true, if_false):
+    """np.where(cond, if_true(), if_false()) bit for bit, calling a branch only
+    when some cell takes it: one count of cond decides, so a cell with a NaN
+    condition takes if_false, as under np.where."""
+    taken = np.count_nonzero(cond)
+    if 0 < taken < cond.size:
+        return np.where(cond, if_true(), if_false())
+    value = if_true() if taken else if_false()
+    return value if value.shape == cond.shape else np.broadcast_to(value, cond.shape).copy()
+
+
 class PlateauUtility(UtilitySpec):
     """Linear-quadratic utility whose best response is a unit-length plateau.
 
@@ -127,38 +138,58 @@ class PlateauUtility(UtilitySpec):
         return anchor, anchor + 1.0, 0.5 * anchor ** 2
 
     @staticmethod
-    def _value(a, anchor, top, flat):
-        below = -0.5 * a ** 2 + anchor * a
-        shifted = a - 1.0
-        above = -0.5 * shifted ** 2 + anchor * shifted
-        return np.where(a < anchor, below, np.where(a <= top, flat, above))
+    def _fits(anchor, top, cap) -> bool:
+        """Whether every plateau lies in [0, cap]; False when any end is NaN."""
+        return anchor.min() >= 0.0 and top.max() <= cap
 
     @staticmethod
-    def _interval(anchor, top, cap):
+    def _value(a, anchor, top, flat):
+        def below():
+            return -0.5 * a ** 2 + anchor * a
+
+        def above():
+            shifted = a - 1.0
+            return -0.5 * shifted ** 2 + anchor * shifted
+
+        # a cell below the plateau (a < anchor) is also within it (a <= top), as
+        # top = anchor + 1 >= anchor, so no comparison with anchor is made when
+        # every cell is above it
+        return _where(a <= top, lambda: _where(a < anchor, below, lambda: flat), above)
+
+    @staticmethod
+    def _interval(anchor, top, cap, fits):
         """The correspondence {0} / {cap} / [anchor, top] ∩ [0, cap] as (lo, hi)."""
+        if fits:
+            # only clipping anchor = -0.0 to 0.0 changes a bit
+            return np.maximum(anchor, 0.0), top
         return np.minimum(np.maximum(anchor, 0.0), cap), np.minimum(np.maximum(top, 0.0), cap)
 
     @staticmethod
-    def _best(anchor, top, flat, cap):
+    def _best(anchor, top, flat, cap, fits):
         # plateau value when reachable; otherwise the boundary a = cap (resp. 0)
-        return np.where(top < 0.0, -0.5 - anchor,
-                        np.where(anchor <= cap, flat, cap * (anchor - 0.5 * cap)))
+        if fits:
+            return flat
+        return _where(top < 0.0, lambda: -0.5 - anchor,
+                      lambda: _where(anchor <= cap, lambda: flat,
+                                     lambda: cap * (anchor - 0.5 * cap)))
 
     def evaluate(self, a, e):
         return self._value(np.asarray(a, float), *self._plateau(e))
 
     def best_response(self, e, cap):
         anchor, top, _ = self._plateau(e)
-        return self._interval(anchor, top, cap)
+        return self._interval(anchor, top, cap, self._fits(anchor, top, cap))
 
     def best_value(self, e, cap):
-        return self._best(*self._plateau(e), cap)
+        anchor, top, flat = self._plateau(e)
+        return self._best(anchor, top, flat, cap, self._fits(anchor, top, cap))
 
     def response_regrets(self, a, e, cap):
         anchor, top, flat = self._plateau(e)
-        best = self._best(anchor, top, flat, cap)
+        fits = self._fits(anchor, top, cap)
+        best = self._best(anchor, top, flat, cap, fits)
         current = self._value(np.asarray(a, float), anchor, top, flat)
-        return self._interval(anchor, top, cap), np.maximum(best - current, 0.0)
+        return self._interval(anchor, top, cap, fits), np.maximum(best - current, 0.0)
 
 
 class QuadraticUtility(UtilitySpec):
@@ -226,17 +257,25 @@ class GraphonGame:
         return KernelOperator(self.graphon, self.grid)
 
 
+@dataclass(frozen=True, eq=False)
 class NetworkGame(GraphonGame):
     """Finite game on a weighted directed network with local-aggregate externalities.
 
     It is the n-step graphon game it embeds as: the adjacency matrix is its step
     kernel, each player is one of n cells, and its aggregate (1/n) * A @ s is the
-    dense kind of the game's operator.
+    dense kind of the game's operator.  Build it as ``NetworkGame(adjacency,
+    utilities, cap)``; the grid follows from the adjacency, and a kernel that
+    already is a ``StepGraphon`` is kept as is, so ``dataclasses.replace``
+    makes a game on the same frozen adjacency.
     """
 
-    def __init__(self, adjacency, utilities: UtilitySpec, cap: float):
-        graphon = StepGraphon(adjacency)
-        super().__init__(graphon, utilities, cap, GridSpec(graphon.n))
+    grid: GridSpec = field(init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.graphon, StepGraphon):
+            object.__setattr__(self, "graphon", StepGraphon(self.graphon))
+        object.__setattr__(self, "grid", GridSpec(self.graphon.n))
+        super().__post_init__()
 
     @property
     def adjacency(self) -> np.ndarray:

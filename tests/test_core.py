@@ -17,6 +17,7 @@ from graphon_games.core import (
     GridSpec,
     KernelOperator,
     MAX_GRID_CELLS,
+    SAMPLE_CHUNK,
     ProductGraphon,
     SeparableGraphon,
     SeparablePowerGraphon,
@@ -579,12 +580,11 @@ class TestWorkingSets:
         peak = self._peak(lambda: resolvent(W, 0.5, GridSpec(self.N), 1e-8))
         assert peak <= 2 * self.MATRIX + 2 ** 20
 
-    def test_l1_distance_holds_two_samples_and_one_half_refined_matrix(self):
+    def test_l1_distance_holds_one_sample_matrix_and_a_chunk(self):
         W = StepGraphon(np.random.default_rng(9).random((128, 128)))
-        half_refined = self.N * 128 * 8
         peak = self._peak(lambda: graphon_l1_distance(SeparablePowerGraphon(0.5), W,
                                                       resolution=self.N))
-        assert peak <= 2 * self.MATRIX + half_refined + 2 ** 20
+        assert peak <= self.MATRIX + 8 * SAMPLE_CHUNK + 2 ** 20
 
 
 class TestGraphonL1Distance:
@@ -606,6 +606,18 @@ class TestGraphonL1Distance:
         with pytest.raises(GridCompatibilityError):
             graphon_l1_distance(W1, W2)  # exact grid would need lcm = 16256 cells
         assert graphon_l1_distance(W1, W2, resolution=512) == 0.0
+
+    def test_non_finite_samples_raise(self):
+        class Pointwise(Graphon):
+            def evaluate(self, t, s):
+                return np.where(t < 0.5, np.nan, s)
+
+        nan_factor = SeparableGraphon("nan_factor", (), lambda x: np.full(np.shape(x), np.nan),
+                                      np.asarray, 1.0)
+        for W in (Pointwise(), nan_factor):
+            for pair in ((W, ProductGraphon()), (ProductGraphon(), W)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    graphon_l1_distance(*pair, resolution=16)
 
     @pytest.mark.parametrize("resolution", [8.5, True, -3, 0, "8"])
     def test_explicit_resolution_must_be_a_positive_integer(self, resolution):
@@ -655,6 +667,17 @@ class TestGraphonL1Sampling:
         mids = (np.arange(24) + 0.5) / 24
         expected = float(np.abs(np.minimum(mids[:, None], mids[None, :]) - 0.25).mean())
         assert graphon_l1_distance(Pointwise(), ConstantGraphon(0.25), resolution=24) == expected
+
+    def test_samples_are_clipped_as_the_step_approximation(self):
+        # step entries within 1e-12 outside [0, 1] are clipped once refined and
+        # kept as they are on the kernel's own grid; a product above 1 is clipped
+        V = StepGraphon([[1.0 + 1e-13, 0.5], [-1e-13, 0.25]])
+        doubled = SeparableGraphon("doubled", (), lambda x: 2.0 * np.asarray(x), np.asarray, 1.0)
+        for W, resolution in ((V, 2), (V, 6), (doubled, 6)):
+            gap = np.abs(step_approximation(W, resolution, m=1).values - 0.5)
+            expected = float(gap.mean())
+            for pair in ((W, ConstantGraphon(0.5)), (ConstantGraphon(0.5), W)):
+                assert graphon_l1_distance(*pair, resolution=resolution) == expected
 
     def test_factored_kernels_are_not_evaluated_pointwise(self, monkeypatch):
         def no_gather(self, t, s):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -116,19 +117,31 @@ class TestUtilityFamilies:
 BRANCHES = ("below", "inside", "above", "edge")
 
 
+# where a plateau utility's strategy a falls: below lam*e, on [lam*e, lam*e + 1], above
+PIECES = ("below", "on", "above")
+
+
 @st.composite
-def fused_regret_case(draw, family):
+def fused_regret_case(draw, family, piece=None):
     """A utility with per-agent parameters, an aggregate e that puts each agent on
     a drawn branch of its closed forms, a cap, and a strategy a in [0, cap] that
-    is often exactly an end of the best-response interval."""
+    is often exactly an end of the best-response interval.
+
+    With a ``piece`` of PIECES (plateau family only), every agent's strategy lies
+    on that piece of its utility instead, and the plateaus either all fit in
+    [0, cap] or are placed on the drawn branches, so that some leave it.
+    """
     n = draw(st.integers(1, 16))
-    cap = draw(st.floats(0.05, 10.0))
+    fit = piece is not None and draw(st.booleans())
+    cap = draw(st.floats(1.0, 10.0) if fit else st.floats(0.05, 10.0))
     names = ("lam",) if family == "plateau_lq" else ("beta", "delta")
     params = {name: np.empty(n) for name in names}
     e = np.empty(n)
     for i in range(n):
         branch = draw(st.sampled_from(BRANCHES))
-        if branch == "below":    # plateau: lam*e + 1 < 0; quadratic: target < 0
+        if fit:                  # the plateau [point, point + 1] inside [0, cap]
+            point = draw(st.floats(0.0, cap - 1.0))
+        elif branch == "below":    # plateau: lam*e + 1 < 0; quadratic: target < 0
             point = (-1.0 if family == "plateau_lq" else 0.0) - draw(st.floats(1e-9, 5.0))
         elif branch == "inside":
             point = draw(st.floats(-1.0 if family == "plateau_lq" else 0.0, cap))
@@ -155,10 +168,24 @@ def fused_regret_case(draw, family):
                 params["beta"][i], params["delta"][i] = beta, delta
                 e[i] = (point - beta) / delta
     utilities = UTILITY_FAMILIES[family].from_values(GridSpec(n), **params)
+    if piece is not None:
+        anchor = utilities.lam * e  # the plateau's lower end, as the utility forms it
+        a = np.array([draw_on_piece(draw, piece, x) for x in anchor])
+        return utilities, a, e, cap
     (lo, hi), _ = oracle_regrets(utilities, np.zeros(n), e, cap)
     a = np.array([draw(st.sampled_from([lo[i], hi[i], 0.0, cap]) | st.floats(0.0, cap))
                   for i in range(n)])
     return utilities, a, e, cap
+
+
+def draw_on_piece(draw, piece, anchor):
+    """A strategy on the given piece of a plateau utility whose plateau starts at anchor."""
+    top = anchor + 1.0
+    if piece == "below":
+        return anchor - draw(st.floats(1e-9, 5.0))
+    if piece == "above":
+        return top + draw(st.floats(1e-9, 5.0))
+    return draw(st.sampled_from([anchor, top]) | st.floats(anchor, top))
 
 
 class TestResponseRegrets:
@@ -175,6 +202,26 @@ class TestResponseRegrets:
         assert_same_bits(hi, hi_ref)
         assert_same_bits(h, h_ref)
         # the public methods are the same formulas
+        for got, ref in zip(u.best_response(e, cap), (lo_ref, hi_ref)):
+            assert_same_bits(got, ref)
+        assert_same_bits(np.maximum(u.best_value(e, cap) - u.evaluate(a, e), 0.0), h_ref)
+
+    @pytest.mark.parametrize("piece", PIECES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_cell_on_one_piece(self, piece, data):
+        # the passes that evaluate only the pieces some cell is on, with plateaus
+        # that all fit in [0, cap] (the best value is the plateau height) or not
+        u, a, e, cap = data.draw(fused_regret_case("plateau_lq", piece))
+        anchor = u.lam * e
+        on_piece = {"below": a < anchor,
+                    "on": (anchor <= a) & (a <= anchor + 1.0),
+                    "above": a > anchor + 1.0}[piece]
+        assert on_piece.all()
+        (lo, hi), h = u.response_regrets(a, e, cap)
+        (lo_ref, hi_ref), h_ref = oracle_regrets(u, a, e, cap)
+        for got, ref in ((lo, lo_ref), (hi, hi_ref), (h, h_ref)):
+            assert_same_bits(got, ref)
         for got, ref in zip(u.best_response(e, cap), (lo_ref, hi_ref)):
             assert_same_bits(got, ref)
         assert_same_bits(np.maximum(u.best_value(e, cap) - u.evaluate(a, e), 0.0), h_ref)
@@ -222,6 +269,16 @@ class TestGameRecords:
                 net.adjacency[0, 0] = bad
         np.testing.assert_array_equal(net.adjacency, [[0.0, 1.0], [0.5, 0.25]])
         np.testing.assert_array_equal(embed_network(net).graphon.values, net.adjacency)
+
+    def test_replace_makes_a_game_on_the_same_adjacency(self):
+        util = PlateauUtility.from_values(GridSpec(2), lam=0.5)
+        net = NetworkGame(np.array([[0.0, 1.0], [0.5, 0.25]]), util, 4.0)
+        capped = dataclasses.replace(net, cap=5.0)
+        assert type(capped) is NetworkGame and capped.cap == 5.0
+        assert capped.graphon is net.graphon and capped.adjacency is net.adjacency
+        assert capped.grid == net.grid and capped.utilities is net.utilities
+        with pytest.raises(ValueError, match="cap"):
+            dataclasses.replace(net, cap=-1.0)
 
     def test_caller_adjacency_is_copied_once(self):
         util = PlateauUtility.from_values(GridSpec(2), lam=0.5)

@@ -454,6 +454,35 @@ class TestSolveAgainstReferenceLoop:
                 exits.add("regret-target")
         assert exit_by in exits
 
+    @pytest.mark.parametrize("start", ["cap", "zero"])
+    def test_rank1_plateau_games_from_a_constant_start(self, start):
+        # from the cap every cell starts above its plateau, from 0 on it; the
+        # reference game (separable_power(0.5), lambda = 0.5, L = 4) comes first
+        rng = np.random.default_rng([5, len(start)])
+        games = [GraphonGame(SeparablePowerGraphon(0.5),
+                             PlateauUtility.from_values(GridSpec(1024), lam=0.5), 4.0,
+                             GridSpec(1024))]
+        for _ in range(4):
+            grid = GridSpec(int(rng.integers(4, 65)))
+            games.append(GraphonGame(SeparablePowerGraphon(rng.uniform(0.05, 0.95)),
+                                     PlateauUtility.from_values(
+                                         grid, lam=rng.uniform(0.0, 1.5, grid.n_cells)),
+                                     rng.uniform(1.0, 6.0), grid))
+        for game in games:
+            f0 = StepProfile.constant(game.cap if start == "cap" else 0.0, game.grid)
+            profile, trace = solve(game, f0)
+            f, iterations, steps, (regrets, strategy, agg, eps), converged = \
+                reference_solve(game, f0, SolverConfig())
+            assert_same_bits(profile.values, f)
+            assert (trace.iterations, trace.converged) == (iterations, converged)
+            assert_same_bits(trace.step_sizes, steps)
+            report = trace.final_report
+            for got, ref in ((report.regrets.values, regrets),
+                             (report.strategy.values, strategy),
+                             (report.aggregate.values, agg)):
+                assert_same_bits(got, ref)
+            assert report.epsilon_star == eps
+
     def test_non_finite_regret_raises_in_both(self):
         # lam * e overflows to inf, so best - current is inf - inf
         grid = GridSpec(4)
