@@ -149,13 +149,6 @@ class StepProfile:
             raise ValueError(f"profile constant must be a number, got {value!r}")
         return cls(grid, np.full(grid.n_cells, float(value)))
 
-    def refine(self, n_cells: int) -> "StepProfile":
-        """Re-express on a finer grid whose size is a multiple of the current one."""
-        n = self.grid.n_cells
-        if n_cells % n:
-            raise GridCompatibilityError(f"{n_cells} is not a multiple of {n}")
-        return StepProfile(GridSpec(n_cells), np.repeat(self.values, n_cells // n))
-
     def average_to(self, n_cells: int) -> "StepProfile":
         """Exact cell averages on another uniform grid, via the common refinement."""
         return StepProfile(GridSpec(n_cells), regrid_step_values(self.values, n_cells))

@@ -27,15 +27,15 @@ class UtilitySpec:
     """Per-agent utility family: a tag plus one step profile per scalar parameter.
 
     Contract: u(a, e) is continuous in (a, e) and quasi-concave in a on the
-    strategy interval, and a family supplies its best-response interval and
-    best value in closed form, so every regret and epsilon* is exact.  A family
-    implements four methods, which all raise NotImplementedError here:
-    evaluate, best_response, best_value, and response_regrets, which returns
-    the interval and the regret max(best_value - u, 0) in one pass and is what
-    solve and regret_profile call.  A later family without closed forms must
-    bring a sound upper bound on the best value (say, the located value plus a
-    Lipschitz constant times the final bracket); a search's located value is at
-    most the true maximum, so it under-states regret and certifies nothing.
+    strategy interval.  A family implements two methods, which raise
+    NotImplementedError here: evaluate, the utility, and response_regrets,
+    which returns the best-response interval and the regret
+    max(best value - u, 0) in one closed-form pass, so every regret and
+    epsilon* is exact; solve, best_response_map and regret_profile call it.  A
+    later family without closed forms must bring a sound upper bound on the
+    best value (say, the located value plus a Lipschitz constant times the
+    final bracket); a search's located value is at most the true maximum, so
+    it under-states regret and certifies nothing.
     """
 
     family: str = "abstract"
@@ -78,17 +78,10 @@ class UtilitySpec:
         """Utility of each agent playing a under aggregate e (arrays aligned with cells)."""
         raise NotImplementedError
 
-    def best_response(self, e, cap):
-        """Closed-form best-response interval (lo, hi) per cell over [0, cap]."""
-        raise NotImplementedError
-
-    def best_value(self, e, cap):
-        """Closed-form maximal utility per cell over [0, cap]."""
-        raise NotImplementedError
-
     def response_regrets(self, a, e, cap):
-        """Best-response interval (lo, hi) per cell under aggregate e, and the
-        regret h = max(best_value - u(a, e), 0) of playing a there, in one pass."""
+        """Closed-form best-response interval (lo, hi) per cell over [0, cap]
+        under aggregate e, and the regret h = max(max_b u(b, e) - u(a, e), 0) of
+        playing a there, in one pass."""
         raise NotImplementedError
 
     def regrid(self, n_cells: int) -> "UtilitySpec":
@@ -131,7 +124,7 @@ class PlateauUtility(UtilitySpec):
     def lam(self) -> np.ndarray:
         return self.params["lam"].values
 
-    def _plateau(self, e):
+    def plateau(self, e):
         """The plateau under aggregate e: its ends anchor = lam*e and anchor + 1,
         and its height anchor^2 / 2."""
         anchor = self.lam * np.asarray(e, float)
@@ -174,18 +167,10 @@ class PlateauUtility(UtilitySpec):
                                      lambda: cap * (anchor - 0.5 * cap)))
 
     def evaluate(self, a, e):
-        return self._value(np.asarray(a, float), *self._plateau(e))
-
-    def best_response(self, e, cap):
-        anchor, top, _ = self._plateau(e)
-        return self._interval(anchor, top, cap, self._fits(anchor, top, cap))
-
-    def best_value(self, e, cap):
-        anchor, top, flat = self._plateau(e)
-        return self._best(anchor, top, flat, cap, self._fits(anchor, top, cap))
+        return self._value(np.asarray(a, float), *self.plateau(e))
 
     def response_regrets(self, a, e, cap):
-        anchor, top, flat = self._plateau(e)
+        anchor, top, flat = self.plateau(e)
         fits = self._fits(anchor, top, cap)
         best = self._best(anchor, top, flat, cap, fits)
         current = self._value(np.asarray(a, float), anchor, top, flat)
@@ -213,14 +198,6 @@ class QuadraticUtility(UtilitySpec):
 
     def evaluate(self, a, e):
         return self._value(np.asarray(a, float), self._target(e))
-
-    def best_response(self, e, cap):
-        point = self._point(self._target(e), cap)
-        return point, point
-
-    def best_value(self, e, cap):
-        target = self._target(e)
-        return self._value(self._point(target, cap), target)
 
     def response_regrets(self, a, e, cap):
         target = self._target(e)

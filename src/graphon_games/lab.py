@@ -312,7 +312,7 @@ def _limit(plan: ExperimentPlan, reference: StepProfile) -> LimitResult:
     if not solved:
         raise CertificationError("no game in the sequence produced a converged solve")
 
-    limit = solved[-1][2].refine(plan.game.grid.n_cells)
+    limit = solved[-1][2].average_to(plan.game.grid.n_cells)  # a repeat: sizes divide the grid
     rows, d_l1, d_exceed = [], [], []
     for net, errors, profile, trace in solved:
         rows.append(_row(plan, net, errors, profile, reference, trace.final_report.epsilon_star))
@@ -430,7 +430,9 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     """Parse a plan file into (plan, experiment name).
 
     The experiment name is one of "coarsened", "limit", or "characterization"
-    (default).  Every other key but "source_g" names an ``ExperimentPlan`` field.
+    (default).  Every other key but "source_g" names an ``ExperimentPlan`` field;
+    a plan whose equilibrium_source is "solver" refuses the resolvent's keys,
+    "source_g" and "resolvent_tol", which it would ignore.
     Thresholds absent from the file fall back to the plan defaults and are echoed
     back in summaries.  Profile paths (``source_g``, a CSV ``solver_init``) are
     relative to base_dir.
@@ -438,6 +440,9 @@ def plan_from_descriptor(d: dict, base_dir: str = ".") -> tuple[ExperimentPlan, 
     names = {f.name for f in fields(ExperimentPlan)}
     names -= {"source", "out_dir"}  # set by "source_g" and the caller
     io.check_keys(d, names | {"experiment", "source_g"}, "plan file", required=("game",))
+    unused = sorted({"source_g", "resolvent_tol"} & d.keys())
+    if unused and d.get("equilibrium_source") == "solver":
+        raise ValueError(f"plan file has keys {unused} that a solver-sourced plan does not use")
     kwargs = {key: d[key] for key in names & d.keys()}
     kwargs["game"] = io.game_from_descriptor(d["game"])
     for key in ("n_list", "alt_n_list"):

@@ -12,9 +12,7 @@ from .core import (
     Graphon,
     GridSpec,
     StepProfile,
-    check_step_resolution,
     check_threshold,
-    local_aggregate,
     resolvent,
 )
 from .games import (
@@ -55,10 +53,6 @@ class LQParams:
         if needed > self.cap:
             raise ValueError(f"cap {self.cap} fails a sufficiency bound; need cap >= {needed:.6g}")
 
-    def utility_spec(self, grid: GridSpec) -> PlateauUtility:
-        """The plateau family with this lam constant across agents."""
-        return PlateauUtility.from_values(grid, lam=self.lam)
-
 
 @dataclass(frozen=True, eq=False)
 class SourceFunction:
@@ -97,7 +91,7 @@ def plateau_params(game: GraphonGame) -> LQParams:
 
 def lq_game(W: Graphon, params: LQParams, grid: GridSpec) -> GraphonGame:
     """The graphon game with the plateau utility at these parameters."""
-    return GraphonGame(W, params.utility_spec(grid), params.cap, grid)
+    return GraphonGame(W, PlateauUtility.from_values(grid, lam=params.lam), params.cap, grid)
 
 
 def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
@@ -115,7 +109,7 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
     step kernel's resolution to divide the grid of g (as a game on that grid does).
     """
     grid = g.grid
-    check_step_resolution(W, grid)  # so K s lands on the grid of s
+    game = lq_game(W, params, grid)  # a step kernel must divide the grid, so K s lands on it
     c = W.sup_norm()
     params.validate_for_equilibrium(c)
     margin = 1.0 - params.lam * c
@@ -127,8 +121,9 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
         raise CertificationError(
             "Neumann-series solution is not finite: it has no residual bound")
 
-    profile = StepProfile(grid, series)
-    residual = series - params.lam * local_aggregate(W, profile).values - g.values
+    # s = lam * (K s) + g puts s at g above the plateau's lower end lam * (K s)
+    anchor, _, _ = game.utilities.plateau(game.operator.apply(series))
+    residual = series - anchor - g.values
     bound = float(np.abs(residual).max()) / margin
     if not (bound <= 10.0 * tol):
         raise CertificationError(
@@ -142,7 +137,7 @@ def equilibrium_from_source(W: Graphon, params: LQParams, g: SourceFunction,
             f"solution leaves the a priori range [0, {upper:.6g}]: "
             f"min {series.min():.6g}, max {series.max():.6g}"
         )
-    return profile
+    return StepProfile(grid, series)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,16 +170,18 @@ def verify_equilibrium(W: Graphon, params: LQParams, s: StepProfile,
     Checks cellwise, with e the local aggregate of s: (i) s(i) in [0, cap];
     (ii) 0 <= lam*e(i) <= lam*e(i) + 1 <= cap; (iii) s(i) in [lam*e(i), lam*e(i)+1];
     and computes the regret report.  Certified iff all three hold up to tol and
-    epsilon* <= tol.  Violations are reported, never raised; a tolerance that
-    is not finite and > 0 is a ValueError.
+    epsilon* <= tol.  A cell off its plateau, or a plateau that leaves [0, cap],
+    is reported, not raised.  A value more than 1e-12 outside [0, cap] is a
+    ValueError, raised by regret_profile, so (i) flags a cell only when
+    tol < 1e-12.  A tolerance that is not finite and > 0 is a ValueError too.
     """
     check_threshold(tol, "tolerance", positive=True)
     game = lq_game(W, params, s.grid)
     rep = regret_profile(game, s)
-    anchor = params.lam * rep.aggregate.values
+    anchor, top, _ = game.utilities.plateau(rep.aggregate.values)
     in_interval = (s.values >= -tol) & (s.values <= params.cap + tol)
-    plateau_fits = (anchor >= -tol) & (anchor + 1.0 <= params.cap + tol)
-    on_plateau = (s.values >= anchor - tol) & (s.values <= anchor + 1.0 + tol)
+    plateau_fits = (anchor >= -tol) & (top <= params.cap + tol)
+    on_plateau = (s.values >= anchor - tol) & (s.values <= top + tol)
     certified = bool(
         in_interval.all() and plateau_fits.all() and on_plateau.all()
         and rep.epsilon_star <= tol

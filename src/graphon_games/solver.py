@@ -78,7 +78,7 @@ def best_response_map(game: GraphonGame, f: StepProfile,
     select a point by the rule (nearest-point projects the current strategy
     onto the set, so fixed points are exactly the equilibria)."""
     agg = game.operator.apply(f.values)
-    lo, hi = game.utilities.best_response(agg, game.cap)
+    (lo, hi), _ = game.utilities.response_regrets(f.values, agg, game.cap)
     return StepProfile(f.grid, _select(lo, hi, f.values, rule))
 
 

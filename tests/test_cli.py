@@ -172,6 +172,17 @@ class TestLQVerifyCommand:
         ])
         assert code == 1
 
+    def test_profile_above_the_cap_is_an_input_error(self, workspace, capsys):
+        # beyond [0, L] by more than 1e-12, regret_profile refuses the profile, so
+        # in_interval never reports it at the default tolerance
+        values = np.ones(64)
+        values[5] = 4.0 + 1.0
+        io.save_profile_csv(workspace / "p.csv", StepProfile(GridSpec(64), values))
+        assert_input_error(capsys, r"profile leaves the strategy interval \[0, 4.0\]", [
+            "lq", "verify", "--game", str(workspace / "game.json"),
+            "--profile", str(workspace / "p.csv"),
+        ])
+
     def test_grid_mismatch_is_an_error(self, workspace):
         bad = workspace / "bad.csv"
         io.save_profile_csv(bad, StepProfile.constant(0.0, GridSpec(8)))
@@ -426,6 +437,13 @@ class TestLabRunCommand:
         ({"game": 3}, "game descriptor must be a JSON object, got 3"),
         ({"alt_n_list": [12, True]}, "alt_n_list must be an integer, got True"),
         ({"alt_grid": 96.5}, "alt_grid must be an integer, got 96.5"),
+        # a solver-sourced plan would ignore the resolvent's keys
+        ({"equilibrium_source": "solver", "source_g": "const:1"},
+         r"plan file has keys \['source_g'\] that a solver-sourced plan does not use"),
+        ({"equilibrium_source": "solver", "resolvent_tol": 1e-8},
+         r"plan file has keys \['resolvent_tol'\] that a solver-sourced plan does not use"),
+        ({"equilibrium_source": "solver", "source_g": 1.0, "resolvent_tol": 1e-8},
+         r"has keys \['resolvent_tol', 'source_g'\] that"),
     ])
     def test_wrong_typed_or_out_of_range_numbers_are_input_errors(self, workspace, capsys,
                                                                   keys, match):

@@ -72,12 +72,11 @@ class TestStepProfile:
         with pytest.raises(ValueError, match="profile constant must be a number"):
             StepProfile.constant(bad, GridSpec(4))
 
-    def test_refine_repeats_exactly(self):
+    def test_average_to_a_multiple_repeats_exactly(self):
         p = StepProfile(GridSpec(2), [1.0, 3.0])
-        r = p.refine(6)
+        r = p.average_to(6)
+        assert r.grid == GridSpec(6)
         np.testing.assert_array_equal(r.values, [1, 1, 1, 3, 3, 3])
-        with pytest.raises(GridCompatibilityError):
-            p.refine(5)
 
     def test_average_to_is_exact_block_mean(self):
         p = StepProfile(GridSpec(4), [1.0, 3.0, 5.0, 7.0])
@@ -89,12 +88,12 @@ class TestStepProfile:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=24),
            k=st.integers(1, 8), m=st.integers(1, 48))
-    def test_refine_and_average_to_round_trips(self, values, k, m):
+    def test_average_to_round_trips(self, values, k, m):
         p = StepProfile(GridSpec(len(values)), values)
         n = p.grid.n_cells
-        fine = p.refine(n * k)
-        # averaging onto a multiple of the grid is refinement, bit for bit
-        np.testing.assert_array_equal(p.average_to(n * k).values, fine.values)
+        fine = p.average_to(n * k)
+        # averaging onto a multiple of the grid repeats each value, bit for bit
+        np.testing.assert_array_equal(fine.values, np.repeat(p.values, k))
         # averaging back takes means of k equal values, so it recovers the profile
         np.testing.assert_allclose(fine.average_to(n).values, p.values, rtol=1e-14, atol=0)
         # averaging onto any grid keeps the integral

@@ -22,7 +22,7 @@ from graphon_games.games import (
     regret_profile,
 )
 from graphon_games.lq import LQParams, lq_game
-from graphon_games.solver import best_response_map, solve
+from graphon_games.solver import SolverConfig, best_response_map, solve
 
 from closed_form_oracle import assert_same_bits, oracle_regrets
 
@@ -55,24 +55,25 @@ class TestUtilityFamilies:
         e = np.array([2.0])
         inside = [u.evaluate(np.array([a]), e)[0] for a in (1.0, 1.3, 2.0)]
         assert inside == [0.5, 0.5, 0.5]
-        lo, hi = u.best_response(e, 10.0)
+        (lo, hi), h = u.response_regrets(np.array([0.0]), e, 10.0)
         assert (lo[0], hi[0]) == (1.0, 2.0)
-        assert u.best_value(e, 10.0)[0] == 0.5
+        assert h[0] == 0.5  # u(0, e) = 0 gives up the whole plateau height
 
     def test_plateau_capped(self):
         u = PlateauUtility.from_values(GridSpec(1), lam=0.5)
-        lo, hi = u.best_response(np.array([30.0]), 10.0)
+        (lo, hi), h = u.response_regrets(np.array([0.0]), np.array([30.0]), 10.0)
         assert (lo[0], hi[0]) == (10.0, 10.0)
-        # best value at the cap: u(L, e) on the increasing branch
-        assert u.best_value(np.array([30.0]), 10.0)[0] == pytest.approx(10 * (15 - 5))
+        # best value at the cap: u(L, e) on the increasing branch, against u(0, e) = 0
+        assert h[0] == pytest.approx(10 * (15 - 5))
 
     def test_quadratic_peak(self):
         u = QuadraticUtility.from_values(GridSpec(2), beta=[0.5, 3.0], delta=[1.0, 0.0])
         e = np.array([0.25, 0.0])
-        lo, hi = u.best_response(e, 2.0)
+        (lo, hi), h = u.response_regrets(np.array([0.75, 0.0]), e, 2.0)
         np.testing.assert_allclose(lo, [0.75, 2.0])  # second peak clipped at the cap
         np.testing.assert_allclose(hi, lo)
-        np.testing.assert_allclose(u.best_value(e, 2.0), [0.0, -0.5])
+        # best values 0 and u(2, 0) = -0.5, against u = 0 and u(0, 0) = -4.5
+        np.testing.assert_allclose(h, [0.0, 4.0])
 
     def test_regrid_averages_parameters(self):
         u = PlateauUtility.from_values(GridSpec(4), lam=[0.0, 1.0, 0.5, 0.5])
@@ -102,15 +103,18 @@ class TestUtilityFamilies:
         e = rng.uniform(-cap, 2.0 * cap, n)  # every branch: below 0, interior, above cap
         a = np.linspace(0.0, cap, 20001)
         sampled = u.evaluate(a[:, None], e[None, :])
-        best = u.best_value(e, cap)
-        lo, hi = u.best_response(e, cap)
+        (lo, hi), _ = u.response_regrets(np.zeros(n), e, cap)
+        best = u.evaluate(lo, e)
         assert np.all(sampled <= best + 1e-12)
-        np.testing.assert_allclose(u.evaluate(lo, e), best, rtol=0, atol=1e-12)
         np.testing.assert_allclose(u.evaluate(hi, e), best, rtol=0, atol=1e-12)
         assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= cap))
         argmax = a[np.argmax(sampled, axis=0)]
         step = a[1] - a[0]
         assert np.all((lo - step <= argmax) & (argmax <= hi + step))
+        # the regret of a strategy is the utility it gives up against the interval
+        for played in [lo, hi] + [np.full(n, x) for x in a[::100]]:
+            _, h = u.response_regrets(played, e, cap)
+            np.testing.assert_allclose(h, best - u.evaluate(played, e), rtol=0, atol=1e-12)
 
 
 # where the anchor lam*e (plateau) or the target beta + delta*e (quadratic) falls
@@ -201,10 +205,6 @@ class TestResponseRegrets:
         assert_same_bits(lo, lo_ref)
         assert_same_bits(hi, hi_ref)
         assert_same_bits(h, h_ref)
-        # the public methods are the same formulas
-        for got, ref in zip(u.best_response(e, cap), (lo_ref, hi_ref)):
-            assert_same_bits(got, ref)
-        assert_same_bits(np.maximum(u.best_value(e, cap) - u.evaluate(a, e), 0.0), h_ref)
 
     @pytest.mark.parametrize("piece", PIECES)
     @settings(max_examples=150, deadline=None)
@@ -222,9 +222,6 @@ class TestResponseRegrets:
         (lo_ref, hi_ref), h_ref = oracle_regrets(u, a, e, cap)
         for got, ref in ((lo, lo_ref), (hi, hi_ref), (h, h_ref)):
             assert_same_bits(got, ref)
-        for got, ref in zip(u.best_response(e, cap), (lo_ref, hi_ref)):
-            assert_same_bits(got, ref)
-        assert_same_bits(np.maximum(u.best_value(e, cap) - u.evaluate(a, e), 0.0), h_ref)
 
 
 class TestGameRecords:
@@ -487,6 +484,39 @@ class TestRegretProfile:
             regret_profile(game, f)
         with pytest.raises(NotImplementedError):
             solve(game, f)
+        with pytest.raises(NotImplementedError):
+            best_response_map(game, f)
+
+    def test_family_of_the_two_contract_methods_solves(self):
+        # evaluate and response_regrets are all that solve, regret_profile and
+        # best_response_map call
+        class Absolute(UtilitySpec):
+            """u(a, e) = -|a - (beta + e/2)|: its best response is the target clipped."""
+            family = "absolute"
+            param_names = ("beta",)
+
+            def _target(self, e):
+                return self.params["beta"].values + 0.5 * np.asarray(e, float)
+
+            def evaluate(self, a, e):
+                return -np.abs(np.asarray(a, float) - self._target(e))
+
+            def response_regrets(self, a, e, cap):
+                point = np.clip(self._target(e), 0.0, cap)
+                h = np.maximum(self.evaluate(point, e) - self.evaluate(a, e), 0.0)
+                return (point, point), h
+
+        grid = GridSpec(16)
+        util = Absolute.from_values(grid, beta=np.linspace(0.0, 2.0, 16))
+        game = GraphonGame(ConstantGraphon(0.5), util, 4.0, grid)
+        profile, trace = solve(game, StepProfile.constant(4.0, grid))
+        assert trace.converged and trace.iterations > 1
+        report = regret_profile(game, profile)
+        assert report.epsilon_star <= SolverConfig().regret_target
+        np.testing.assert_array_equal(report.regrets.values, trace.final_report.regrets.values)
+        # beta + e/2 stays inside [0, 4], so the profile is its own best response
+        step = best_response_map(game, profile).values - profile.values
+        assert np.abs(step).max() <= SolverConfig().regret_target
 
     def test_report_carries_strategy_and_aggregate(self):
         rng = np.random.default_rng(14)

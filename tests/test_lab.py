@@ -359,17 +359,23 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
             plan_from_descriptor({**self.DESCRIPTOR, key: 1.0})
 
-    def test_profile_paths_resolve_against_the_plan_directory(self, tmp_path, monkeypatch):
+    def test_source_path_resolves_against_the_plan_directory(self, tmp_path, monkeypatch):
         io.save_profile_csv(tmp_path / "g.csv", StepProfile.constant(1.0, GridSpec(64)))
+        monkeypatch.chdir(tmp_path.parent)
+        plan, _ = plan_from_descriptor({**self.DESCRIPTOR, "source_g": "g.csv"}, tmp_path.name)
+        np.testing.assert_array_equal(plan.source.values, 1.0)
+        assert run_plan(plan, "coarsened").passed
+
+    def test_solver_init_path_resolves_against_the_plan_directory(self, tmp_path, monkeypatch):
         io.save_profile_csv(tmp_path / "init.csv", StepProfile.constant(4.0, GridSpec(64)))
         monkeypatch.chdir(tmp_path.parent)
+        # a solver-sourced plan refuses source_g, which only the resolvent uses
+        descriptor = {key: value for key, value in self.DESCRIPTOR.items() if key != "source_g"}
         plan, _ = plan_from_descriptor(
-            {**self.DESCRIPTOR, "source_g": "g.csv", "solver_init": "init.csv",
-             "equilibrium_source": "solver"},
+            {**descriptor, "solver_init": "init.csv", "equilibrium_source": "solver"},
             tmp_path.name,
         )
         np.testing.assert_array_equal(plan.solver_init.values, 4.0)
-        np.testing.assert_array_equal(plan.source.values, 1.0)
         assert run_plan(plan, "coarsened").passed
 
     def test_unknown_experiment(self):

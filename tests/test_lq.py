@@ -35,7 +35,7 @@ def plateau_utility(a, e, lam):
 
 def plateau_response(e, lam, cap):
     """The best-response interval (lo, hi) of one agent of the plateau family."""
-    lo, hi = PlateauUtility.from_values(GridSpec(1), lam=lam).best_response(e, cap)
+    (lo, hi), _ = PlateauUtility.from_values(GridSpec(1), lam=lam).response_regrets(0.0, e, cap)
     return lo.item(), hi.item()
 
 

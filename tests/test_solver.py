@@ -25,6 +25,7 @@ from graphon_games.games import (
 )
 from graphon_games.lq import LQParams, SourceFunction, equilibrium_from_source, lq_game, verify_equilibrium
 from graphon_games.solver import (
+    SELECTION_RULES,
     SolverConfig,
     _meets_target,
     best_response_map,
@@ -39,6 +40,13 @@ def two_player_plateau(cap=10.0, lam=0.5):
     grid = GridSpec(2)
     util = PlateauUtility.from_values(grid, lam=lam)
     return GraphonGame(StepGraphon([[0.0, 1.0], [1.0, 0.0]]), util, cap, grid)
+
+
+def reference_select(rule, f, lo, hi):
+    """The point of [lo, hi] that a selection rule picks for the strategy f."""
+    return {"nearest-point": lambda: np.clip(f, lo, hi),
+            "interval-midpoint": lambda: 0.5 * (lo + hi),
+            "lower-endpoint": lambda: np.array(lo, dtype=float)}[rule]()
 
 
 def reference_solve(game, f0, config):
@@ -56,9 +64,7 @@ def reference_solve(game, f0, config):
             converged = True
             report = (regrets, f, agg, eps)
             break
-        update = {"nearest-point": lambda: np.clip(f, lo, hi),
-                  "interval-midpoint": lambda: 0.5 * (lo + hi),
-                  "lower-endpoint": lambda: np.array(lo, dtype=float)}[config.selection_rule]()
+        update = reference_select(config.selection_rule, f, lo, hi)
         f_next = (1.0 - config.damping) * f + config.damping * update
         steps.append(float(np.abs(f_next - f).max()))
         f = f_next
@@ -162,11 +168,23 @@ class TestBestResponseMap:
                            cap, grid)
         f = StepProfile(grid, rng.uniform(0, cap, n))
         agg = regret_profile(game, f).aggregate.values
-        lo, hi = game.utilities.best_response(agg, game.cap)
+        (lo, hi), _ = oracle_regrets(game.utilities, f.values, agg, game.cap)
         for rule in ("nearest-point", "interval-midpoint", "lower-endpoint"):
             out = best_response_map(game, f, rule=rule)
             assert np.all(out.values >= lo - 1e-12)
             assert np.all(out.values <= hi + 1e-12)
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("family", ["plateau_lq", "quadratic"])
+    @pytest.mark.parametrize("kind", ["rank-1", "block", "dense"])
+    def test_bit_identical_to_the_oracle_interval(self, kind, family, rule):
+        rng = np.random.default_rng([5, len(kind), len(family), len(rule)])
+        for _ in range(4):
+            game, f = random_small_game(rng, kind, family)
+            agg = game.operator.apply(f.values)
+            (lo, hi), _ = oracle_regrets(game.utilities, f.values, agg, game.cap)
+            assert_same_bits(best_response_map(game, f, rule).values,
+                             reference_select(rule, f.values, lo, hi))
 
 
 class TestSolve:
